@@ -71,9 +71,28 @@ StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
     step_options.cnf_cache = step.cnf_cache;
     // Tau merges μ counters into whatever stats object arrives, so passing
     // the same one per step accumulates across the chain.
-    KBT_ASSIGN_OR_RETURN(current,
-                         Tau(*step.antecedent, current, step_options, stats));
+    if (&step != &steps.back()) {
+      KBT_ASSIGN_OR_RETURN(current,
+                           Tau(*step.antecedent, current, step_options, stats));
+      continue;
+    }
+    // The last step is never merged: τ distributes over the input worlds (KM
+    // postulate (viii)), so the answer is the ∧ (necessarily) or ∨ (possibly)
+    // of the per-world answers, and the first world that is not neutral decides.
+    const bool neutral = modality == Modality::kNecessarily;
+    KBT_ASSIGN_OR_RETURN(
+        bool decided,
+        internal::ForEachTauWorld(
+            *step.antecedent, current, step_options, stats,
+            [&](size_t, Knowledgebase mu) -> StatusOr<bool> {
+              KBT_ASSIGN_OR_RETURN(bool holds,
+                                   CheckConsequent(std::move(mu), consequent,
+                                                   modality, options.mu.cancel));
+              return holds != neutral;
+            }));
+    return decided != neutral;
   }
+  // Only an empty chain gets here: a plain modal query.
   return CheckConsequent(std::move(current), consequent, modality,
                          options.mu.cancel);
 }

@@ -58,8 +58,12 @@ struct ChainStep {
 /// step runs with `options` (the engine's persistent pool, the session-pinned
 /// solver and scratch, μ options) plus its step's per-sentence caches — no
 /// per-call executor state is constructed beyond what the options leave null.
-/// Equivalent to NestedCounterfactual over the same formulas (property-tested
-/// in tests/serve_test.cc).
+/// The last step never builds its τ result: it checks the consequent on each
+/// world's μ result inside τ's loop and stops at the first counterexample
+/// (necessarily) or witness (possibly). Whenever NestedCounterfactual succeeds
+/// over the same formulas, this succeeds with the same answer
+/// (property-tested in tests/hypothetical_test.cc); it may still answer when
+/// a world it never visited would have failed.
 /// `stats` (nullable) accumulates the per-step τ statistics — each step's μ
 /// counters merge into stats->mu, so a serving layer can surface solver
 /// budget/interrupt activity per request.

@@ -19,10 +19,7 @@ namespace kbt {
 
 namespace {
 
-/// Merges per-world outcomes into the final kb and stats. On failure the
-/// lowest-indexed recorded error wins; with threads=1 that is exactly the old
-/// sequential first-failure behavior, with threads>1 it is the first failure
-/// the executor observed (later worlds are skipped, not run-and-discarded).
+/// Merges the per-world μ results into the final kb.
 ///
 /// The merge never flattens: every μ result arrives as overlays against its
 /// own world extended to σ(kb) ∪ σ(φ), which is itself an overlay of the
@@ -33,14 +30,9 @@ namespace {
 /// old flat UnionAll.
 StatusOr<Knowledgebase> MergeTauResults(const Knowledgebase& kb,
                                         const Schema& extended_schema,
-                                        std::vector<Status> statuses,
                                         std::vector<Knowledgebase> results,
-                                        std::vector<MuStats> world_stats,
                                         const Knowledgebase::ParallelMap* pmap,
                                         TauStats* out) {
-  for (const Status& s : statuses) KBT_RETURN_IF_ERROR(s);
-  for (const MuStats& s : world_stats) out->mu.MergeFrom(s);
-
   KBT_ASSIGN_OR_RETURN(Database extended,
                        kb.base()->ExtendTo(extended_schema));
   auto ext_base = std::make_shared<const Database>(std::move(extended));
@@ -81,30 +73,32 @@ StatusOr<Knowledgebase> MergeTauResults(const Knowledgebase& kb,
   return out_kb;
 }
 
-}  // namespace
+/// What Tau's merge needs from the per-world loop: the extended schema and the
+/// pool the worlds ran on (borrowed, or spawned for the call and owned here).
+struct WorldLoop {
+  Schema extended_schema;
+  exec::ThreadPool* pool = nullptr;
+  std::unique_ptr<exec::ThreadPool> own_pool;
+};
 
-StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
-                            const TauOptions& options, TauStats* stats) {
-  TauStats local;
-  TauStats* out = stats != nullptr ? stats : &local;
+/// The per-world loop behind Tau and internal::ForEachTauWorld (see tau.h).
+/// On failure the lowest-indexed recorded error wins; with threads=1 that is
+/// exactly the sequential first-failure behavior, with threads>1 it is the
+/// first failure the executor observed (later worlds are skipped, not
+/// run-and-discarded).
+StatusOr<bool> RunWorldLoop(const Formula& sentence, const Knowledgebase& kb,
+                            const TauOptions& options, TauStats* out,
+                            const internal::TauVisit& visit, WorldLoop* loop) {
   out->input_databases = kb.size();
 
-  if (kb.empty()) {
-    // Preserve the extended schema so downstream steps see σ(kb) ∪ σ(φ).
-    Database probe(kb.schema());
-    KBT_ASSIGN_OR_RETURN(UpdateContext ctx, MakeUpdateContext(sentence, probe));
-    out->output_databases = 0;
-    return Knowledgebase(ctx.schema);
-  }
-
   // The extended schema σ(kb) ∪ σ(φ) depends only on the shared input schema,
-  // so one probe context resolves it for the merge step up front.
-  Schema extended_schema;
+  // so one probe context resolves it up front (an empty kb keeps it too).
   {
     Database probe(kb.schema());
     KBT_ASSIGN_OR_RETURN(UpdateContext ctx, MakeUpdateContext(sentence, probe));
-    extended_schema = std::move(ctx.schema);
+    loop->extended_schema = std::move(ctx.schema);
   }
+  if (kb.empty()) return false;
 
   // One cache pair per τ call — or the caller's persistent pair (a serving
   // loop re-querying one sentence across snapshots): the sentence is fixed, so
@@ -126,7 +120,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   // The probe context above validated (φ, schema); per-world update contexts
   // reuse its schema and φ's constants instead of re-deriving both per world.
   std::vector<Value> formula_constants = ConstantsOf(sentence);
-  base_exec.extended_schema = &extended_schema;
+  base_exec.extended_schema = &loop->extended_schema;
   base_exec.formula_constants = &formula_constants;
   if (options.use_ground_cache) base_exec.ground_cache = cache;
   // Freezing and forking only pays for itself when a prefix is reused: a
@@ -148,36 +142,38 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   }
 
   std::vector<Status> statuses(kb.size());
-  std::vector<Knowledgebase> results(kb.size());
   std::vector<MuStats> world_stats(kb.size());
+  std::vector<char> ran(kb.size(), 0);
 
-  // After the first failure no further world starts a μ computation — the
-  // error is going to be returned anyway, so the remaining work would be
-  // discarded.
-  std::atomic<bool> failed{false};
+  // After the first failure, or a visit that asks to stop, no further world
+  // starts a μ computation — its result would be discarded.
+  std::atomic<bool> stop{false};
   auto run_world = [&](size_t i, internal::MuExecContext exec) {
-    if (failed.load(std::memory_order_relaxed)) return;
+    if (stop.load(std::memory_order_relaxed)) return;
+    ran[i] = 1;
     // Graceful degradation: one world failing — by Status or by throwing —
     // lands in its own result slot and fails the call, never the process.
     // Sibling worlds already running complete normally.
-    StatusOr<Knowledgebase> r = [&]() -> StatusOr<Knowledgebase> {
+    Status s = [&]() -> Status {
       try {
         // The world is materialized transiently from the shared base — a
         // copy-on-write overlay application, never a stored flat copy.
         Database world = kb.World(i);
-        return internal::MuExec(sentence, world, options.mu, &world_stats[i],
-                                exec);
+        KBT_ASSIGN_OR_RETURN(Knowledgebase r,
+                             internal::MuExec(sentence, world, options.mu,
+                                              &world_stats[i], exec));
+        KBT_ASSIGN_OR_RETURN(bool done, visit(i, std::move(r)));
+        if (done) stop.store(true, std::memory_order_relaxed);
+        return Status::OK();
       } catch (const std::exception& e) {
         return Status::Internal(std::string("world task threw: ") + e.what());
       } catch (...) {
         return Status::Internal("world task threw a non-standard exception");
       }
     }();
-    if (r.ok()) {
-      results[i] = std::move(*r);
-    } else {
-      statuses[i] = r.status();
-      failed.store(true, std::memory_order_relaxed);
+    if (!s.ok()) {
+      statuses[i] = std::move(s);
+      stop.store(true, std::memory_order_relaxed);
     }
   };
 
@@ -185,11 +181,6 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
                        ? options.threads
                        : std::max<size_t>(1, std::thread::hardware_concurrency());
   threads = std::min(threads, kb.size());
-
-  // The pool outlives the per-world loop: the merge step reuses it to hash
-  // result overlays in parallel during canonicalization.
-  exec::ThreadPool* pool = nullptr;
-  std::unique_ptr<exec::ThreadPool> own_pool;
 
   if (threads <= 1) {
     // Sequential path: same per-world calls, same merge — the parallel path is
@@ -201,7 +192,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     internal::MuExecContext exec = base_exec;
     exec.solver = options.solver != nullptr ? options.solver : &local_solver;
     exec.scratch = options.scratch != nullptr ? options.scratch : &local_scratch;
-    for (size_t i = 0; i < kb.size() && !failed.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < kb.size() && !stop.load(std::memory_order_relaxed);
          ++i) {
       run_world(i, exec);
     }
@@ -214,12 +205,12 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     // pool is the caller's persistent one when provided (a serving loop
     // re-entering Pipeline::Apply should not respawn threads per call),
     // otherwise spawned for this call.
-    pool = options.pool;
-    if (pool == nullptr) {
-      own_pool = std::make_unique<exec::ThreadPool>(threads);
-      pool = own_pool.get();
+    loop->pool = options.pool;
+    if (loop->pool == nullptr) {
+      loop->own_pool = std::make_unique<exec::ThreadPool>(threads);
+      loop->pool = loop->own_pool.get();
     }
-    size_t workers = pool->workers();
+    size_t workers = loop->pool->workers();
     std::vector<std::unique_ptr<sat::Solver>> solvers;
     std::vector<std::unique_ptr<exec::WorldScratch>> scratches;
     solvers.reserve(workers);
@@ -229,7 +220,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
       scratches.push_back(std::make_unique<exec::WorldScratch>());
     }
     Status pool_status =
-        pool->ParallelFor(kb.size(), [&](size_t i, size_t worker) {
+        loop->pool->ParallelFor(kb.size(), [&](size_t i, size_t worker) {
           internal::MuExecContext exec = base_exec;
           exec.solver = solvers[worker].get();
           exec.scratch = scratches[worker].get();
@@ -253,15 +244,52 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   out->cnf_cache_hits = cnf_stats.hits - cnf_stats_before.hits;
   out->cnf_cache_misses = cnf_stats.misses - cnf_stats_before.misses;
 
+  for (const Status& s : statuses) KBT_RETURN_IF_ERROR(s);
+  // μ counters merge in world order, independent of execution interleaving.
+  for (size_t i = 0; i < kb.size(); ++i) {
+    if (ran[i]) out->mu.MergeFrom(world_stats[i]);
+  }
+  return stop.load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
+StatusOr<bool> internal::ForEachTauWorld(const Formula& sentence,
+                                         const Knowledgebase& kb,
+                                         const TauOptions& options,
+                                         TauStats* stats, const TauVisit& visit) {
+  TauStats local;
+  WorldLoop loop;
+  return RunWorldLoop(sentence, kb, options, stats != nullptr ? stats : &local,
+                      visit, &loop);
+}
+
+StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
+                            const TauOptions& options, TauStats* stats) {
+  TauStats local;
+  TauStats* out = stats != nullptr ? stats : &local;
+  std::vector<Knowledgebase> results(kb.size());
+  WorldLoop loop;
+  auto collect = [&](size_t i, Knowledgebase r) -> StatusOr<bool> {
+    results[i] = std::move(r);
+    return false;
+  };
+  KBT_RETURN_IF_ERROR(
+      RunWorldLoop(sentence, kb, options, out, collect, &loop).status());
+  if (kb.empty()) {
+    out->output_databases = 0;
+    return Knowledgebase(loop.extended_schema);
+  }
+  // The merge reuses the loop's pool to hash result overlays in parallel
+  // during canonicalization.
   Knowledgebase::ParallelMap pmap;
-  if (pool != nullptr) {
-    pmap = [pool](size_t n, const std::function<void(size_t)>& fn) {
+  if (loop.pool != nullptr) {
+    pmap = [pool = loop.pool](size_t n, const std::function<void(size_t)>& fn) {
       return pool->ParallelFor(n, [&fn](size_t i, size_t) { fn(i); });
     };
   }
-  return MergeTauResults(kb, extended_schema, std::move(statuses),
-                         std::move(results), std::move(world_stats),
-                         pool != nullptr ? &pmap : nullptr, out);
+  return MergeTauResults(kb, loop.extended_schema, std::move(results),
+                         loop.pool != nullptr ? &pmap : nullptr, out);
 }
 
 StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,

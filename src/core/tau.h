@@ -15,6 +15,8 @@
 /// is the plain sequential loop; every thread count produces the same canonical
 /// Knowledgebase bit for bit (tests/tau_parallel_test.cc).
 
+#include <functional>
+
 #include "base/status.h"
 #include "core/mu.h"
 #include "rel/knowledgebase.h"
@@ -104,6 +106,21 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
 StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
                             const MuOptions& options = MuOptions(),
                             TauStats* stats = nullptr);
+
+namespace internal {
+
+/// τ's per-world loop without the merge: hands μ(φ, db) for each member db
+/// of `kb` (by world index, over σ(kb) ∪ σ(φ)) to `visit` on the thread that
+/// computed it. A visit returning true stops the loop — no world starts after
+/// it; worlds already running finish and are visited — and the call returns
+/// whether one did, or the lowest-indexed world's error. `stats` is filled as
+/// by Tau, except output_databases, for exactly the worlds that ran.
+using TauVisit = std::function<StatusOr<bool>(size_t world, Knowledgebase mu)>;
+StatusOr<bool> ForEachTauWorld(const Formula& sentence, const Knowledgebase& kb,
+                               const TauOptions& options, TauStats* stats,
+                               const TauVisit& visit);
+
+}  // namespace internal
 
 }  // namespace kbt
 

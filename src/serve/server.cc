@@ -247,8 +247,6 @@ StatusOr<ReadResult> Server::ExecuteRead(Session& session, const Snapshot& snap,
   TauOptions tau_options;
   tau_options.mu = options_.engine.mu;
   tau_options.threads = options_.read_threads;
-  tau_options.use_ground_cache = options_.engine.tau_ground_cache;
-  tau_options.use_cnf_prefix = options_.engine.tau_cnf_prefix;
   tau_options.pool = read_pool_;
   tau_options.solver = &session.solver_;
   tau_options.scratch = &session.scratch_;
