@@ -73,7 +73,8 @@ StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
     // the same one per step accumulates across the chain.
     if (&step != &steps.back()) {
       KBT_ASSIGN_OR_RETURN(current,
-                           Tau(*step.antecedent, current, step_options, stats));
+                           internal::TauExec(*step.antecedent, step.split,
+                                             current, step_options, stats));
       continue;
     }
     // The last step is never merged: τ distributes over the input worlds (KM
@@ -83,7 +84,7 @@ StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
     KBT_ASSIGN_OR_RETURN(
         bool decided,
         internal::ForEachTauWorld(
-            *step.antecedent, current, step_options, stats,
+            *step.antecedent, step.split, current, step_options, stats,
             [&](size_t, Knowledgebase mu) -> StatusOr<bool> {
               KBT_ASSIGN_OR_RETURN(bool holds,
                                    CheckConsequent(std::move(mu), consequent,

@@ -45,13 +45,16 @@ StatusOr<bool> NestedCounterfactual(const Knowledgebase& kb,
 
 /// One antecedent of a serving-path chain, with the executor caches for its τ
 /// step (either may be null; see TauOptions::ground_cache/cnf_cache — a cache
-/// must only ever see this step's sentence). The formula is borrowed and must
-/// outlive the call; the serving layer points it at the cache bank's canonical
-/// parse so every borrower of one cache evaluates the identical formula.
+/// must only ever see this step's sentence, or its split's core when `split`
+/// is set; see internal::TauExec). The formulas are borrowed and must outlive
+/// the call; the serving layer points the cached one at the cache bank's
+/// canonical parse so every borrower of one cache evaluates the identical
+/// formula.
 struct ChainStep {
   const Formula* antecedent = nullptr;
   exec::GroundingCache* ground_cache = nullptr;
   exec::CnfCache* cnf_cache = nullptr;
+  const GroundLiteralSplit* split = nullptr;
 };
 
 /// The serving-path chain evaluation: like NestedCounterfactual, but each τ

@@ -90,11 +90,16 @@ StatusOr<Knowledgebase> MuExec(const Formula& sentence, const Database& db,
   }
   MuStats local;
   MuStats* out = stats != nullptr ? stats : &local;
+  // With a split the caches hold the core, so reference enumeration — which
+  // evaluates φ itself — grounds without them.
+  const MuExecContext reference_exec =
+      exec.split != nullptr ? MuExecContext() : exec;
 
   switch (options.strategy) {
     case MuStrategy::kReference:
       out->used = MuStrategy::kReference;
-      return internal::MuReference(sentence, db, ctx, options, out, exec);
+      return internal::MuReference(sentence, db, ctx, options, out,
+                                   reference_exec);
     case MuStrategy::kSat:
       out->used = MuStrategy::kSat;
       return internal::MuSat(sentence, db, ctx, options, out, exec);
@@ -127,7 +132,8 @@ StatusOr<Knowledgebase> MuExec(const Formula& sentence, const Database& db,
     const TauStrategyPlan& plan = *exec.plan;
     if (plan.sentence_is_ground) {
       StatusOr<Knowledgebase> result =
-          internal::MuReference(sentence, db, ctx, options, out, exec);
+          internal::MuReference(sentence, db, ctx, options, out,
+                                reference_exec);
       if (result.ok() ||
           result.status().code() != StatusCode::kResourceExhausted) {
         out->used = MuStrategy::kReference;
@@ -149,7 +155,7 @@ StatusOr<Knowledgebase> MuExec(const Formula& sentence, const Database& db,
     // Theorem 4.7: ground updates touch at most |φ| atoms — reference enumeration
     // is polynomial in the database. Very wide ground sentences still go to SAT.
     StatusOr<Knowledgebase> result =
-        internal::MuReference(sentence, db, ctx, options, out, exec);
+        internal::MuReference(sentence, db, ctx, options, out, reference_exec);
     if (result.ok() || result.status().code() != StatusCode::kResourceExhausted) {
       out->used = MuStrategy::kReference;
       return result;

@@ -10,15 +10,6 @@ namespace kbt::internal {
 
 namespace {
 
-/// Collects conjuncts of a (possibly nested) conjunction.
-void FlattenAnd(const Formula& f, std::vector<Formula>* out) {
-  if (f->kind() == FormulaKind::kAnd) {
-    for (const Formula& c : f->children()) FlattenAnd(c, out);
-  } else {
-    out->push_back(f);
-  }
-}
-
 /// Parses one conjunct as ∀x̄ (ψ OP H(ȳ)), OP ∈ {→, ↔}, head args distinct
 /// variables drawn from x̄. Returns false if the shape does not match.
 bool ParseDefinition(const Formula& conjunct, DefinitionalPlan::Definition* out) {

@@ -13,6 +13,7 @@
 #include "core/mu.h"
 #include "core/universe.h"
 #include "datalog/ast.h"
+#include "logic/analysis.h"
 #include "logic/circuit.h"
 #include "logic/ground_atom.h"
 #include "logic/grounder.h"
@@ -71,6 +72,11 @@ struct MuExecContext {
   /// context performs the validation these skip.
   const Schema* extended_schema = nullptr;
   const std::vector<Value>* formula_constants = nullptr;
+  /// φ split as core ∧ ground literals (logic/analysis.h), with the caches
+  /// above holding the *core*: the SAT strategy grounds and encodes the core
+  /// and adds the literals on top; every other strategy evaluates φ without
+  /// the caches. Schema, constants and plan still come from φ (see TauExec).
+  const GroundLiteralSplit* split = nullptr;
 };
 
 /// Resolves the kAuto dispatch of `sentence` against the schema of `probe`

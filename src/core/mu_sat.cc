@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
 
 #include "core/mu_internal.h"
@@ -60,7 +61,10 @@ class SatEnumerator {
         s_(exec.scratch != nullptr ? *exec.scratch : own_scratch_),
         reuse_(options.reuse_assumption_trail) {}
 
-  StatusOr<Knowledgebase> Run(const Formula& sentence) {
+  /// Enumerates μ(sentence ∧ literals, db); `literals` are ground literals
+  /// (logic/analysis.h), empty unless τ split its sentence.
+  StatusOr<Knowledgebase> Run(const Formula& sentence,
+                              const std::vector<Formula>& literals) {
     GrounderOptions gopts;
     gopts.max_nodes = options_.max_ground_nodes;
     // The grounding — and, with a CnfCache, the whole Tseitin encoding — is a
@@ -127,6 +131,34 @@ class SatEnumerator {
       own_node_lits = encoder.node_lits();
       node_lits = &own_node_lits;
     }
+    // A literal on an atom the grounding mentions is a root unit. Any other
+    // atom is independent of the sentence, so every minimal model takes the
+    // literal's value there — the same flip in every candidate, which leaves
+    // the Winslett order alone — and it is written into each model's overlay
+    // after the enumeration.
+    AtomIndex free_atoms;
+    std::vector<char> free_value;
+    s_.clause_lits.clear();
+    for (const Formula& literal : literals) {
+      const bool positive = literal->kind() == FormulaKind::kAtom;
+      const Formula& atom = positive ? literal : literal->children()[0];
+      std::vector<Value> args;
+      for (const Term& t : atom->terms()) args.push_back(t.symbol);
+      GroundAtom ground{atom->relation(), Tuple(std::move(args))};
+      int id = g->atoms.Find(ground);
+      if (id >= 0 && AtomVar(id) >= 0) {
+        s_.clause_lits.push_back(MkLit(AtomVar(id), !positive));
+        continue;
+      }
+      size_t free_id = static_cast<size_t>(free_atoms.IdOf(ground));
+      if (free_id == free_value.size()) free_value.push_back(positive);
+      if (free_value[free_id] != positive) return Knowledgebase(ctx_.schema);
+    }
+    if (!s_.clause_lits.empty() &&
+        !solver_->AssertUnitsAtRoot(s_.clause_lits)) {
+      return Knowledgebase(ctx_.schema);
+    }
+    stats_->ground_atoms += free_atoms.size();
     // Arm per-request limits now — Reset/InitFromFrozen above cleared any —
     // and guarantee they are disarmed when Run unwinds: the solver may be a
     // session solver that outlives this request's (stack-allocated) token.
@@ -242,9 +274,23 @@ class SatEnumerator {
 
     stats_->minimal_models = minimal.size();
     if (minimal.empty()) return Knowledgebase(ctx_.schema);
+    WorldOverlay free_overlay;
+    if (free_atoms.size() > 0) {
+      std::vector<int> free_ids(free_atoms.size());
+      std::iota(free_ids.begin(), free_ids.end(), 0);
+      KBT_ASSIGN_OR_RETURN(
+          free_overlay,
+          MaterializeOverlayModel(ctx_, free_atoms, free_ids, [&](int id) {
+            return free_value[static_cast<size_t>(id)] != 0;
+          }));
+    }
     std::vector<WorldOverlay> overlays;
     overlays.reserve(minimal.size());
-    for (FoundModel& m : minimal) overlays.push_back(std::move(m.overlay));
+    for (FoundModel& m : minimal) {
+      overlays.push_back(free_overlay.identity()
+                             ? std::move(m.overlay)
+                             : WorldOverlay::Compose(m.overlay, free_overlay));
+    }
     return Knowledgebase::FromBaseAndOverlays(
         std::make_shared<const Database>(ctx_.extended_base),
         std::move(overlays));
@@ -551,7 +597,10 @@ StatusOr<Knowledgebase> MuSat(const Formula& sentence, const Database& db,
                               const UpdateContext& ctx, const MuOptions& options,
                               MuStats* stats, const MuExecContext& exec) {
   SatEnumerator enumerator(db, ctx, options, stats, exec);
-  return enumerator.Run(sentence);
+  if (exec.split != nullptr) {
+    return enumerator.Run(exec.split->core, exec.split->literals);
+  }
+  return enumerator.Run(sentence, {});
 }
 
 }  // namespace kbt::internal

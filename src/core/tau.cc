@@ -19,6 +19,16 @@ namespace kbt {
 
 namespace {
 
+/// Whether φ = core ∧ literals has the core's own domain on `db`: every
+/// constant the literals name lies in adom(db) ∪ consts(core).
+bool LiteralsInCoreDomain(const GroundLiteralSplit& split, const Database& db) {
+  if (split.literal_only_constants.empty()) return true;
+  std::vector<Value> adom = db.ActiveDomain();
+  return std::includes(adom.begin(), adom.end(),
+                       split.literal_only_constants.begin(),
+                       split.literal_only_constants.end());
+}
+
 /// Merges the per-world μ results into the final kb.
 ///
 /// The merge never flattens: every μ result arrives as overlays against its
@@ -86,9 +96,11 @@ struct WorldLoop {
 /// exactly the sequential first-failure behavior, with threads>1 it is the
 /// first failure the executor observed (later worlds are skipped, not
 /// run-and-discarded).
-StatusOr<bool> RunWorldLoop(const Formula& sentence, const Knowledgebase& kb,
-                            const TauOptions& options, TauStats* out,
-                            const internal::TauVisit& visit, WorldLoop* loop) {
+StatusOr<bool> RunWorldLoop(const Formula& sentence,
+                            const GroundLiteralSplit* split,
+                            const Knowledgebase& kb, const TauOptions& options,
+                            TauStats* out, const internal::TauVisit& visit,
+                            WorldLoop* loop) {
   out->input_databases = kb.size();
 
   // The extended schema σ(kb) ∪ σ(φ) depends only on the shared input schema,
@@ -122,6 +134,7 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence, const Knowledgebase& kb,
   std::vector<Value> formula_constants = ConstantsOf(sentence);
   base_exec.extended_schema = &loop->extended_schema;
   base_exec.formula_constants = &formula_constants;
+  base_exec.split = split;
   if (options.use_ground_cache) base_exec.ground_cache = cache;
   // Freezing and forking only pays for itself when a prefix is reused: a
   // singleton kb would encode once either way but add a snapshot copy, so the
@@ -159,6 +172,12 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence, const Knowledgebase& kb,
         // The world is materialized transiently from the shared base — a
         // copy-on-write overlay application, never a stored flat copy.
         Database world = kb.World(i);
+        // Keeps the caller's caches to the core's own domains (TauExec).
+        if (exec.split != nullptr &&
+            !LiteralsInCoreDomain(*exec.split, world)) {
+          exec.ground_cache = exec.ground_cache ? &local_ground_cache : nullptr;
+          exec.cnf_cache = exec.cnf_cache ? &local_cnf_cache : nullptr;
+        }
         KBT_ASSIGN_OR_RETURN(Knowledgebase r,
                              internal::MuExec(sentence, world, options.mu,
                                               &world_stats[i], exec));
@@ -243,6 +262,15 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence, const Knowledgebase& kb,
   exec::CnfCache::Stats cnf_stats = cnf_cache->stats();
   out->cnf_cache_hits = cnf_stats.hits - cnf_stats_before.hits;
   out->cnf_cache_misses = cnf_stats.misses - cnf_stats_before.misses;
+  // Split worlds moved onto the local caches above (unused otherwise).
+  if (cache != &local_ground_cache) {
+    out->ground_cache_hits += local_ground_cache.stats().hits;
+    out->ground_cache_misses += local_ground_cache.stats().misses;
+  }
+  if (cnf_cache != &local_cnf_cache) {
+    out->cnf_cache_hits += local_cnf_cache.stats().hits;
+    out->cnf_cache_misses += local_cnf_cache.stats().misses;
+  }
 
   for (const Status& s : statuses) KBT_RETURN_IF_ERROR(s);
   // μ counters merge in world order, independent of execution interleaving.
@@ -255,17 +283,26 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence, const Knowledgebase& kb,
 }  // namespace
 
 StatusOr<bool> internal::ForEachTauWorld(const Formula& sentence,
+                                         const GroundLiteralSplit* split,
                                          const Knowledgebase& kb,
                                          const TauOptions& options,
                                          TauStats* stats, const TauVisit& visit) {
   TauStats local;
   WorldLoop loop;
-  return RunWorldLoop(sentence, kb, options, stats != nullptr ? stats : &local,
-                      visit, &loop);
+  return RunWorldLoop(sentence, split, kb, options,
+                      stats != nullptr ? stats : &local, visit, &loop);
 }
 
 StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
                             const TauOptions& options, TauStats* stats) {
+  return internal::TauExec(sentence, nullptr, kb, options, stats);
+}
+
+StatusOr<Knowledgebase> internal::TauExec(const Formula& sentence,
+                                          const GroundLiteralSplit* split,
+                                          const Knowledgebase& kb,
+                                          const TauOptions& options,
+                                          TauStats* stats) {
   TauStats local;
   TauStats* out = stats != nullptr ? stats : &local;
   std::vector<Knowledgebase> results(kb.size());
@@ -275,7 +312,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     return false;
   };
   KBT_RETURN_IF_ERROR(
-      RunWorldLoop(sentence, kb, options, out, collect, &loop).status());
+      RunWorldLoop(sentence, split, kb, options, out, collect, &loop).status());
   if (kb.empty()) {
     out->output_databases = 0;
     return Knowledgebase(loop.extended_schema);

@@ -19,6 +19,7 @@
 
 #include "base/status.h"
 #include "core/mu.h"
+#include "logic/analysis.h"
 #include "rel/knowledgebase.h"
 
 namespace kbt::exec {
@@ -60,9 +61,9 @@ struct TauOptions {
   /// fills these instead of its per-call locals, so *consecutive calls* with
   /// the same sentence share groundings and frozen CNF prefixes — the serving
   /// batcher's ride on the caches. Both key by active domain alone: a cache
-  /// must only ever see one sentence, which the cache bank enforces by keying
-  /// entries on canonical sentence text. With an external cnf_cache the
-  /// prefix/fork path is taken even for singleton kbs (amortized across calls
+  /// must only ever see one sentence (a split's core, for TauExec), which the
+  /// cache bank enforces by keying entries on canonical sentence text. With an
+  /// external cnf_cache the prefix/fork path is taken even for singleton kbs (amortized across calls
   /// rather than across worlds). TauStats report this call's delta only.
   exec::GroundingCache* ground_cache = nullptr;
   exec::CnfCache* cnf_cache = nullptr;
@@ -109,14 +110,29 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
 
 namespace internal {
 
+/// Tau with `split` (nullable) = `sentence` read as core ∧ ground literals
+/// (SplitGroundLiterals): the SAT strategy grounds and encodes only the core
+/// — through options.ground_cache/cnf_cache, which must then hold the core —
+/// and adds the literals on top; all else comes from `sentence`, and the
+/// result equals Tau(sentence, kb). A world where a literal names a constant
+/// outside adom(world) ∪ consts(core) uses per-call caches instead, so the
+/// options' caches only hold domains a read of the core alone would add.
+StatusOr<Knowledgebase> TauExec(const Formula& sentence,
+                                const GroundLiteralSplit* split,
+                                const Knowledgebase& kb,
+                                const TauOptions& options, TauStats* stats);
+
 /// τ's per-world loop without the merge: hands μ(φ, db) for each member db
 /// of `kb` (by world index, over σ(kb) ∪ σ(φ)) to `visit` on the thread that
 /// computed it. A visit returning true stops the loop — no world starts after
 /// it; worlds already running finish and are visited — and the call returns
 /// whether one did, or the lowest-indexed world's error. `stats` is filled as
-/// by Tau, except output_databases, for exactly the worlds that ran.
+/// by Tau, except output_databases, for exactly the worlds that ran. `split`
+/// is as for TauExec.
 using TauVisit = std::function<StatusOr<bool>(size_t world, Knowledgebase mu)>;
-StatusOr<bool> ForEachTauWorld(const Formula& sentence, const Knowledgebase& kb,
+StatusOr<bool> ForEachTauWorld(const Formula& sentence,
+                               const GroundLiteralSplit* split,
+                               const Knowledgebase& kb,
                                const TauOptions& options, TauStats* stats,
                                const TauVisit& visit);
 

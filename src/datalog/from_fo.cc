@@ -12,15 +12,6 @@ using kbt::StatusOr;
 
 namespace {
 
-/// Collects conjuncts of a (possibly nested) conjunction.
-void FlattenAnd(const Formula& f, std::vector<Formula>* out) {
-  if (f->kind() == FormulaKind::kAnd) {
-    for (const Formula& c : f->children()) FlattenAnd(c, out);
-  } else {
-    out->push_back(f);
-  }
-}
-
 /// Collects disjuncts of a (possibly nested) disjunction.
 void FlattenOr(const Formula& f, std::vector<Formula>* out) {
   if (f->kind() == FormulaKind::kOr) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace kbt {
 
@@ -57,6 +58,13 @@ Status CollectSchema(const Formula& f, Schema* schema) {
     KBT_RETURN_IF_ERROR(CollectSchema(c, schema));
   }
   return Status::OK();
+}
+
+bool IsGroundLiteral(const Formula& f) {
+  const Formula& atom = f->kind() == FormulaKind::kNot ? f->children()[0] : f;
+  return atom->kind() == FormulaKind::kAtom &&
+         std::all_of(atom->terms().begin(), atom->terms().end(),
+                     [](const Term& t) { return t.is_constant(); });
 }
 
 }  // namespace
@@ -157,6 +165,32 @@ bool IsGround(const Formula& f) {
     if (!IsGround(c)) return false;
   }
   return true;
+}
+
+void FlattenAnd(const Formula& f, std::vector<Formula>* out) {
+  if (f->kind() != FormulaKind::kAnd) {
+    out->push_back(f);
+    return;
+  }
+  for (const Formula& c : f->children()) FlattenAnd(c, out);
+}
+
+std::optional<GroundLiteralSplit> SplitGroundLiterals(const Formula& f) {
+  std::vector<Formula> conjuncts;
+  FlattenAnd(f, &conjuncts);
+  GroundLiteralSplit split;
+  std::vector<Formula> core;
+  for (Formula& c : conjuncts) {
+    (IsGroundLiteral(c) ? split.literals : core).push_back(std::move(c));
+  }
+  if (split.literals.empty() || core.empty()) return std::nullopt;
+  split.core = And(std::move(core));
+  if (IsGround(split.core)) return std::nullopt;
+  std::vector<Value> all = ConstantsOf(f);
+  std::vector<Value> in_core = ConstantsOf(split.core);
+  std::set_difference(all.begin(), all.end(), in_core.begin(), in_core.end(),
+                      std::back_inserter(split.literal_only_constants));
+  return split;
 }
 
 size_t FormulaSize(const Formula& f) {

@@ -6,6 +6,7 @@
 /// substitution φ(x/a), and the syntactic classifications the complexity results of
 /// §4.3 key on (quantifier-free, ground).
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -39,6 +40,27 @@ bool IsQuantifierFree(const Formula& f);
 /// True iff φ contains no variables at all: a boolean combination of ground atoms
 /// ("quantifier-free transformations" in Theorem 4.7 are over these).
 bool IsGround(const Formula& f);
+
+/// Appends the conjuncts of a (possibly nested) conjunction, left to right; a
+/// non-conjunction is its own single conjunct.
+void FlattenAnd(const Formula& f, std::vector<Formula>* out);
+
+/// φ read as ψ ∧ λ1 ∧ … ∧ λk, where the λi are its top-level *ground literal*
+/// conjuncts — an atom whose terms are all constants, or the negation of one —
+/// and the core ψ is the conjunction of the remaining conjuncts in their
+/// original order. Nested top-level ∧ is flattened.
+struct GroundLiteralSplit {
+  Formula core;
+  std::vector<Formula> literals;
+  /// Constants the literals name and the core does not, sorted.
+  std::vector<Value> literal_only_constants;
+};
+
+/// Splits φ as above, or nullopt when there is nothing to split: no ground
+/// literal conjunct, no other conjunct, or a ground core. Tseitin-encoding
+/// ψ ∧ λ is CNF(ψ) plus one unit clause per literal, so every antecedent with
+/// core ψ can fork one frozen encoding of ψ (serve/cache_bank.h).
+std::optional<GroundLiteralSplit> SplitGroundLiterals(const Formula& f);
 
 /// Counts nodes of the formula tree (|φ| up to constants; used by expression
 /// complexity benchmarks and resource guards).

@@ -796,11 +796,11 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
       continue;
     }
 
-    Var next = PickBranchVar();
-    if (next < 0) {
-      // All variables assigned: model found. With trail reuse the assumption
-      // levels (re-established by the decision loop after any restart) stay on
-      // the trail; only the free search levels above them are undone.
+    // All variables assigned: model found — tested before picking, so queued
+    // assigned vars are not popped here only for CancelUntil to re-push. With
+    // trail reuse the assumption levels (re-established by the decision loop
+    // after any restart) stay on the trail; only the free levels are undone.
+    if (trail_.size() == values_.size()) {
       model_.assign(values_.size(), 0);
       for (size_t i = 0; i < values_.size(); ++i) {
         model_[i] = values_[i] == LBool::kTrue ? 1 : -1;
@@ -810,6 +810,7 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
                       : 0);
       return SolveResult::kSat;
     }
+    Var next = PickBranchVar();
     ++stats_.decisions;
     NewDecisionLevel();
     bool phase = saved_phase_[static_cast<size_t>(next)] >= 0;

@@ -378,7 +378,9 @@ class Solver {
   // (≈half the runtime). The activity is cached inside the node so sifts
   // compare contiguous memory instead of chasing activity_. Ties break toward
   // the larger variable id — the order the lazy pair-heap popped — keeping the
-  // known-good branching trajectory; deterministic either way.
+  // known-good branching trajectory; deterministic either way. Assigned vars
+  // may stay queued (popped lazily; a model is a full trail); every unassigned
+  // var is queued and the order is total, so the pick ignores heap layout.
   void HeapSwap(size_t i, size_t j);
   void HeapSiftUp(size_t i);
   void HeapSiftDown(size_t i);

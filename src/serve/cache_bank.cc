@@ -14,12 +14,20 @@ QueryCacheBank::QueryCacheBank(size_t capacity, size_t entry_byte_budget,
       entry_byte_budget_(entry_byte_budget),
       entry_max_domains_(entry_max_domains) {}
 
-StatusOr<std::shared_ptr<SentenceCaches>> QueryCacheBank::Get(
-    std::string_view sentence_text) {
-  // Parse and canonicalize outside the lock — the lock only guards the map.
+StatusOr<BankedSentence> QueryCacheBank::Get(std::string_view sentence_text) {
+  // Parse, split and canonicalize outside the lock — the lock only guards the
+  // map.
   KBT_ASSIGN_OR_RETURN(Formula parsed, ParseSentence(sentence_text));
-  std::string key = kbt::ToString(parsed);
+  BankedSentence out;
+  out.sentence = parsed;
+  out.split = SplitGroundLiterals(parsed);
+  std::string key = kbt::ToString(out.split ? out.split->core : parsed);
 
+  // Declared before the lock, so destroyed after its release: an evicted entry
+  // may hold the last reference to its circuits and frozen CNFs, and freeing
+  // them must not make every other session wait. (At most one eviction per
+  // call: a budget eviction leaves the map below capacity.)
+  std::shared_ptr<SentenceCaches> evicted;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -30,28 +38,35 @@ StatusOr<std::shared_ptr<SentenceCaches>> QueryCacheBank::Get(
     if (entry_byte_budget_ > 0 &&
         it->second.caches->ApproxBytes() > entry_byte_budget_) {
       ++budget_evictions_;
+      evicted = std::move(it->second.caches);
       lru_.erase(it->second.lru_pos);
       entries_.erase(it);
     } else {
       ++hits_;
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      return it->second.caches;
+      out.caches = it->second.caches;
     }
   }
-  ++misses_;
-  if (entries_.size() >= capacity_) {
-    entries_.erase(lru_.back());  // In-flight borrowers keep their shared_ptr.
-    lru_.pop_back();
+  if (out.caches == nullptr) {
+    ++misses_;
+    if (entries_.size() >= capacity_) {
+      auto victim = entries_.find(lru_.back());
+      evicted = std::move(victim->second.caches);
+      entries_.erase(victim);
+      lru_.pop_back();
+    }
+    out.caches = std::make_shared<SentenceCaches>();
+    out.caches->sentence = out.split ? out.split->core : parsed;
+    if (entry_max_domains_ > 0) {
+      out.caches->ground.set_max_entries(entry_max_domains_);
+      out.caches->cnf.set_max_entries(entry_max_domains_);
+    }
+    lru_.push_front(key);
+    entries_.emplace(std::move(key), Slot{out.caches, lru_.begin()});
   }
-  auto caches = std::make_shared<SentenceCaches>();
-  caches->sentence = std::move(parsed);
-  if (entry_max_domains_ > 0) {
-    caches->ground.set_max_entries(entry_max_domains_);
-    caches->cnf.set_max_entries(entry_max_domains_);
-  }
-  lru_.push_front(key);
-  entries_.emplace(std::move(key), Slot{caches, lru_.begin()});
-  return caches;
+  // Borrowers evaluate the entry's formula, never this request's re-parse.
+  (out.split ? out.split->core : out.sentence) = out.caches->sentence;
+  return out;
 }
 
 uint64_t QueryCacheBank::hits() const {

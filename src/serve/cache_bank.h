@@ -13,10 +13,17 @@
 /// frozen prefix. This is what makes batching same-sentence reads pay — the
 /// batch leader fills the entry, the rest of the batch rides it.
 ///
-/// Correctness of sharing: every user of an entry evaluates the entry's own
-/// canonical Formula (parsed once, stored in the entry), never its private
-/// re-parse — so two textual spellings that print alike can never mix two
-/// circuit structures inside one cache.
+/// An antecedent ψ ∧ λ1 ∧ … ∧ λk whose λi are ground literals
+/// (SplitGroundLiterals) is keyed on its *core* ψ: every such read forks the
+/// one frozen encoding of ψ and adds the λi on top. The literals belong to
+/// the request, never to the entry, and τ keeps the entry to the domains a
+/// read of ψ alone would add (internal::TauExec).
+///
+/// Correctness of sharing: every user of an entry's caches evaluates the
+/// entry's own canonical Formula (parsed once, stored in the entry — the core
+/// of a split sentence), never its private re-parse — so two textual
+/// spellings that print alike can never mix two circuit structures inside one
+/// cache.
 ///
 /// The bank is bounded two ways. Across sentences, entries are evicted LRU
 /// beyond `capacity`. Within a sentence, the grounding/CNF caches are keyed
@@ -32,6 +39,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -39,6 +47,7 @@
 #include "base/status.h"
 #include "exec/cnf_cache.h"
 #include "exec/ground_cache.h"
+#include "logic/analysis.h"
 #include "logic/formula.h"
 
 namespace kbt::serve {
@@ -46,8 +55,8 @@ namespace kbt::serve {
 /// One sentence's shared executor state. Immutable apart from the caches,
 /// which are internally synchronized (exec/once_cache.h).
 struct SentenceCaches {
-  /// The canonical parse of the sentence text. All τ calls that borrow these
-  /// caches must evaluate exactly this formula.
+  /// The canonical parse of the sentence text, or of its core when split. All
+  /// τ calls that borrow these caches must ground exactly this formula.
   Formula sentence = nullptr;
   exec::GroundingCache ground;
   exec::CnfCache cnf;
@@ -56,6 +65,16 @@ struct SentenceCaches {
   size_t ApproxBytes() const {
     return ground.approx_bytes() + cnf.approx_bytes();
   }
+};
+
+/// One antecedent resolved through the bank.
+struct BankedSentence {
+  std::shared_ptr<SentenceCaches> caches;
+  /// The whole antecedent, which τ's set-up reads: caches->sentence itself
+  /// when unsplit, this request's parse when split.
+  Formula sentence;
+  /// Engaged when split: core = caches->sentence, literals this request's.
+  std::optional<GroundLiteralSplit> split;
 };
 
 class QueryCacheBank {
@@ -68,10 +87,11 @@ class QueryCacheBank {
                           size_t entry_max_domains = 0);
 
   /// Returns the shared entry for `sentence_text`, parsing and inserting it on
-  /// first use. The key is the canonical rendering of the parse, so textual
-  /// variants of one formula ("P(a)&Q(b)" vs "P(a) & Q(b)") share one entry.
-  /// Thread-safe; concurrent callers for one sentence converge on one entry.
-  StatusOr<std::shared_ptr<SentenceCaches>> Get(std::string_view sentence_text);
+  /// first use. The key is the canonical rendering of the parse — of its core
+  /// when the sentence splits — so textual variants of one formula
+  /// ("P(a)&Q(b)" vs "P(a) & Q(b)") share one entry. Thread-safe; concurrent
+  /// callers for one key converge on one entry.
+  StatusOr<BankedSentence> Get(std::string_view sentence_text);
 
   /// Entry lookups that found an existing entry / created one.
   uint64_t hits() const;

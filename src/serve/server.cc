@@ -214,21 +214,23 @@ StatusOr<ReadResult> Server::ExecuteRead(Session& session, const Snapshot& snap,
 
   // Resolve the antecedent chain. Bank entries are held for the duration of
   // the call so LRU eviction cannot pull a formula out from under a step.
-  std::vector<std::shared_ptr<SentenceCaches>> entries;
+  std::vector<BankedSentence> entries;
   std::vector<Formula> local_parses;
   std::vector<ChainStep> steps;
   steps.reserve(request.antecedents.size());
   if (options_.use_cache_bank) {
     entries.reserve(request.antecedents.size());
     for (const std::string& text : request.antecedents) {
-      KBT_ASSIGN_OR_RETURN(std::shared_ptr<SentenceCaches> entry,
-                           bank_.Get(text));
-      ChainStep step;
-      step.antecedent = &entry->sentence;
-      step.ground_cache = &entry->ground;
-      step.cnf_cache = &entry->cnf;
-      steps.push_back(step);
+      KBT_ASSIGN_OR_RETURN(BankedSentence entry, bank_.Get(text));
       entries.push_back(std::move(entry));
+    }
+    for (const BankedSentence& entry : entries) {
+      ChainStep step;
+      step.antecedent = &entry.sentence;
+      step.ground_cache = &entry.caches->ground;
+      step.cnf_cache = &entry.caches->cnf;
+      step.split = entry.split ? &*entry.split : nullptr;
+      steps.push_back(step);
     }
   } else {
     local_parses.reserve(request.antecedents.size());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "logic/parser.h"
 #include "logic/printer.h"
 
@@ -78,6 +80,39 @@ TEST(AnalysisTest, SizeAndDepth) {
   EXPECT_EQ(QuantifierDepth(f), 2u);
   EXPECT_GE(FormulaSize(f), 5u);
   EXPECT_EQ(QuantifierDepth(*ParseFormula("R(a)")), 0u);
+}
+
+TEST(AnalysisTest, SplitGroundLiteralsSeparatesTopLevelLiterals) {
+  // Nested top-level ∧ is flattened; the core keeps its conjuncts' order.
+  Formula f = *ParseFormula(
+      "(forall x: P(x) -> Q(x, x)) & (Q(a, b) & !P(c)) & (exists y: P(y)) & "
+      "!(P(a) & P(b)) & a = b");
+  std::optional<GroundLiteralSplit> split = SplitGroundLiterals(f);
+  ASSERT_TRUE(split.has_value());
+  EXPECT_EQ(ToString(split->core),
+            ToString(*ParseFormula("(forall x: P(x) -> Q(x, x)) & "
+                                   "(exists y: P(y)) & !(P(a) & P(b)) & "
+                                   "a = b")));
+  ASSERT_EQ(split->literals.size(), 2u);
+  EXPECT_EQ(ToString(split->literals[0]), ToString(*ParseFormula("Q(a, b)")));
+  EXPECT_EQ(ToString(split->literals[1]), ToString(*ParseFormula("!P(c)")));
+  // A single remaining conjunct is the core itself.
+  Formula one = *ParseFormula("(forall x: P(x)) & P(a)");
+  split = SplitGroundLiterals(one);
+  ASSERT_TRUE(split.has_value());
+  EXPECT_EQ(split->core, one->children()[0]);
+}
+
+TEST(AnalysisTest, SplitGroundLiteralsDeclinesWhenNothingToShare) {
+  // No literal, no core, or a ground core: nothing changes.
+  EXPECT_FALSE(SplitGroundLiterals(*ParseFormula("forall x: P(x)")));
+  EXPECT_FALSE(SplitGroundLiterals(*ParseFormula("P(a) & !Q(a, b)")));
+  EXPECT_FALSE(SplitGroundLiterals(*ParseFormula("(P(a) | P(b)) & Q(a, b)")));
+  // An atom with a variable term is no ground literal, nor is ¬¬atom.
+  EXPECT_FALSE(SplitGroundLiterals(*ParseFormula(
+      "forall x: (P(x) & Q(x, a))")));
+  EXPECT_FALSE(SplitGroundLiterals(*ParseFormula(
+      "(forall x: P(x)) & !!P(a)")));
 }
 
 }  // namespace

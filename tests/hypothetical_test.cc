@@ -9,11 +9,13 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/mu_internal.h"
 #include "exec/cnf_cache.h"
 #include "exec/ground_cache.h"
 #include "exec/pool.h"
 #include "exec/scratch.h"
 #include "logic/parser.h"
+#include "logic/printer.h"
 #include "sat/solver.h"
 #include "testutil.h"
 
@@ -207,74 +209,13 @@ TEST(CounterfactualTest, ExecEmptyChainIsModalQuery) {
 }
 
 // ---------------------------------------------------------------------------
-// Many-world reads in the shape of perfbench's worldset_read, built here: the
-// benchmark checks its answers against a server running this same code, so
-// only a comparison with the plain evaluation can catch a wrong early stop.
+// Many-world reads in the shape of perfbench's worldset_read (testutil.h):
+// the benchmark checks its answers against a server running this same code,
+// so only a comparison with the plain evaluation can catch a wrong early stop.
 
-constexpr int kDeltaDomain = 6;
-
-std::string DeltaConst(int i) { return "n" + std::to_string(i); }
-
-/// 64 worlds over {Dom, R, P}, each flipping a distinct pair of R cells of one
-/// base; P is one set shared by all worlds.
-Knowledgebase DeltaKb(std::mt19937_64* rng) {
-  Schema schema = *Schema::Of({{"Dom", 1}, {"R", 2}, {"P", 1}});
-  const int cells = kDeltaDomain * kDeltaDomain;
-  std::bernoulli_distribution dense(0.35);
-  std::bernoulli_distribution half(0.5);
-  std::uniform_int_distribution<int> cell(0, cells - 1);
-  std::vector<bool> base(cells);
-  for (int c = 0; c < cells; ++c) base[c] = dense(*rng);
-  Relation::Builder dom(1);
-  Relation::Builder p(1);
-  for (int i = 0; i < kDeltaDomain; ++i) {
-    dom.Append({Name(DeltaConst(i))});
-    if (half(*rng)) p.Append({Name(DeltaConst(i))});
-  }
-  Relation dom_rel = dom.Build();
-  Relation p_rel = p.Build();
-  std::set<std::pair<int, int>> flips;
-  std::vector<Database> dbs;
-  while (dbs.size() < 64) {
-    int a = cell(*rng);
-    int b = cell(*rng);
-    if (a == b || !flips.insert({std::min(a, b), std::max(a, b)}).second) {
-      continue;
-    }
-    std::vector<bool> world = base;
-    world[a] = !world[a];
-    world[b] = !world[b];
-    Relation::Builder r(2);
-    for (int c = 0; c < cells; ++c) {
-      if (world[c]) {
-        r.Append({Name(DeltaConst(c / kDeltaDomain)),
-                  Name(DeltaConst(c % kDeltaDomain))});
-      }
-    }
-    dbs.push_back(*Database::Create(schema, {dom_rel, r.Build(), p_rel}));
-  }
-  return *Knowledgebase::FromDatabases(std::move(dbs));
-}
-
-/// A ground literal over P/1, R/2 or S/2 (S is new to the kb).
-std::string DeltaLiteral(std::mt19937_64* rng) {
-  const std::pair<const char*, int> rels[] = {{"P", 1}, {"R", 2}, {"S", 2}};
-  std::uniform_int_distribution<int> rel(0, 2);
-  std::uniform_int_distribution<int> constant(0, kDeltaDomain - 1);
-  std::bernoulli_distribution negate(0.5);
-  auto [name, arity] = rels[rel(*rng)];
-  std::string literal = negate(*rng) ? "!" : "";
-  literal += std::string(name) + "(";
-  for (int a = 0; a < arity; ++a) {
-    if (a > 0) literal += ", ";
-    literal += DeltaConst(constant(*rng));
-  }
-  return literal + ")";
-}
-
-/// The sentence that forces μ onto the SAT strategy.
-constexpr const char* kOrient =
-    "(forall x, y: (R(x, y) & !R(y, x)) -> (S(x, y) & !S(y, x)))";
+using testutil::DeltaKb;
+using testutil::DeltaLiteral;
+using testutil::kOrient;
 
 TEST(CounterfactualTest, ExecManyWorldReadsMatchPlainAndStopEarly) {
   std::mt19937_64 rng(20260808);
@@ -351,6 +292,339 @@ TEST(CounterfactualTest, ExecManyWorldReadsMatchPlainAndStopEarly) {
   EXPECT_EQ(stop.cnf_cache_misses, 1u);
   EXPECT_EQ(stop.cnf_cache_hits, 0u);
   EXPECT_EQ(stop.threads_used, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Split antecedents: core ∧ ground literals, the SAT strategy forking the
+// core's frozen encoding and adding the literals on top.
+
+/// The literal `relation(args)` or its negation.
+Formula GroundLiteral(const std::string& relation,
+                      const std::vector<std::string>& args, bool positive) {
+  std::vector<Term> terms;
+  for (const std::string& a : args) terms.push_back(Term::Const(a));
+  Formula atom = Atom(relation, std::move(terms));
+  return positive ? atom : Not(atom);
+}
+
+/// Ground literals over P/1, Q/2 (old) and L/1 (new to every kb here), one
+/// kind at a time: an atom the core's grounding mentions, an arbitrary old
+/// atom, a new-relation atom, a contradictory pair, or an atom over a
+/// constant no kb or core uses. Kinds are counted by what the split actually
+/// meets (see SplitLiteralKinds), not by what was drawn here.
+class LiteralSource {
+ public:
+  explicit LiteralSource(std::mt19937_64* rng) : rng_(rng) {}
+
+  /// Appends one to two literals of a random kind to `out`. `mentioned` are
+  /// atoms the core's grounding mentions.
+  void Draw(const std::vector<GroundAtom>& mentioned,
+            std::vector<Formula>* out) {
+    std::uniform_int_distribution<int> kind(0, 4);
+    switch (kind(*rng_)) {
+      case 0:
+        if (!mentioned.empty()) {
+          std::uniform_int_distribution<size_t> pick(0, mentioned.size() - 1);
+          const GroundAtom& atom = mentioned[pick(*rng_)];
+          std::vector<Term> terms;
+          for (Value v : atom.tuple.values()) terms.push_back(Term::Const(v));
+          Formula f = Atom(atom.relation, std::move(terms));
+          out->push_back(coin_(*rng_) ? f : Not(f));
+          return;
+        }
+        [[fallthrough]];
+      case 1:
+        out->push_back(Old(Constant(), Constant()));
+        return;
+      case 2:
+        out->push_back(GroundLiteral("L", {Constant()}, coin_(*rng_)));
+        return;
+      case 3: {
+        Formula f = coin_(*rng_) ? Old(Constant(), Constant())
+                                 : GroundLiteral("L", {Constant()}, true);
+        out->push_back(f);
+        out->push_back(f->kind() == FormulaKind::kNot ? f->children()[0]
+                                                      : Not(f));
+        return;
+      }
+      default:
+        out->push_back(coin_(*rng_) ? Old(Constant(), "fresh")
+                                    : GroundLiteral("L", {"fresh"},
+                                                    coin_(*rng_)));
+        return;
+    }
+  }
+
+ private:
+  std::string Constant() {
+    const std::vector<std::string>& names = testutil::TestConstants();
+    std::uniform_int_distribution<size_t> pick(0, names.size() - 1);
+    return names[pick(*rng_)];
+  }
+  Formula Old(const std::string& x, const std::string& y) {
+    return coin_(*rng_) ? GroundLiteral("P", {y}, coin_(*rng_))
+                        : GroundLiteral("Q", {x, y}, coin_(*rng_));
+  }
+
+  std::mt19937_64* rng_;
+  std::bernoulli_distribution coin_{0.5};
+};
+
+/// Counts of the literal kinds a split met, for coverage asserts.
+struct SplitLiteralKinds {
+  int mentioned = 0;     ///< On an atom the core's grounding mentions.
+  int old_free = 0;      ///< Elsewhere, on an old relation.
+  int new_positive = 0;  ///< Elsewhere, on a new relation, positive...
+  int new_negative = 0;  ///< ...and negative.
+  int contradictory = 0;  ///< Splits holding some literal and its negation.
+  int fresh = 0;         ///< Over a constant outside adom(db) ∪ consts(core).
+
+  /// Classifies `split`'s literals against the core's grounding over the
+  /// domain μ(φ, db) works on.
+  void Count(const GroundLiteralSplit& split, const Formula& sentence,
+             const Database& db) {
+    UpdateContext ctx = *MakeUpdateContext(sentence, db);
+    auto g = *exec::MakeCachedGrounding(split.core, ctx.domain,
+                                        GrounderOptions());
+    std::vector<Value> adom = MakeUpdateContext(split.core, db)->domain;
+    std::set<std::string> seen;
+    bool contradiction = false;
+    for (const Formula& literal : split.literals) {
+      bool positive = literal->kind() == FormulaKind::kAtom;
+      const Formula& atom = positive ? literal : literal->children()[0];
+      std::vector<Value> args;
+      for (const Term& t : atom->terms()) args.push_back(t.symbol);
+      for (Value v : args) {
+        if (!std::binary_search(adom.begin(), adom.end(), v)) ++fresh;
+      }
+      GroundAtom ground{atom->relation(), Tuple(std::move(args))};
+      std::string key = ground.ToString();
+      contradiction |= seen.count((positive ? "-" : "+") + key) > 0;
+      seen.insert((positive ? "+" : "-") + key);
+      int id = g->grounding.atoms.Find(ground);
+      if (id >= 0 && std::binary_search(g->mentioned.begin(),
+                                        g->mentioned.end(), id)) {
+        ++mentioned;
+      } else if (db.schema().Contains(atom->relation())) {
+        ++old_free;
+      } else {
+        ++(positive ? new_positive : new_negative);
+      }
+    }
+    contradictory += contradiction;
+  }
+};
+
+/// A random sentence with a variable, so that it can be a split's core.
+Formula NonGroundCore(testutil::RandomSentenceGenerator* gen) {
+  Formula f = gen->Generate(2);
+  while (IsGround(f)) f = gen->Generate(2);
+  return f;
+}
+
+/// Atoms the grounding of `core` over its own domain on `db` mentions.
+std::vector<GroundAtom> MentionedAtoms(const Formula& core,
+                                       const Database& db) {
+  UpdateContext ctx = *MakeUpdateContext(core, db);
+  auto g = *exec::MakeCachedGrounding(core, ctx.domain, GrounderOptions());
+  std::vector<GroundAtom> out;
+  for (int id : g->mentioned) out.push_back(g->grounding.atoms.AtomOf(id));
+  return out;
+}
+
+/// Property: μ on a split sentence — the SAT strategy grounding and encoding
+/// only the core, through caches that every literal set of that core shares,
+/// and adding the literals on top — equals μ of the whole sentence, by the
+/// reference enumeration wherever its grounding has ≤ 20 atoms and by the
+/// unsplit SAT strategy beyond that. The literals cover every kind the split
+/// tells apart (LiteralSource).
+TEST(CounterfactualTest, SplitMuEqualsUnsplitMu) {
+  std::mt19937_64 rng(1992);
+  testutil::RandomSentenceGenerator gen(&rng, /*new_relation_prob=*/0.15);
+  LiteralSource literals(&rng);
+  std::bernoulli_distribution coin(0.5);
+  sat::Solver solver;
+  exec::WorldScratch scratch;
+  SplitLiteralKinds kinds;
+  int against_reference = 0;
+  int no_models = 0;
+  int compared = 0;
+  for (int round = 0; round < 100; ++round) {
+    Formula core = NonGroundCore(&gen);
+    Database db = testutil::RandomDatabase(&rng);
+    std::vector<GroundAtom> mentioned = MentionedAtoms(core, db);
+    // One cache pair per core, shared by all of its literal sets.
+    exec::GroundingCache ground_cache;
+    exec::CnfCache cnf_cache;
+    for (int variant = 0; variant < 4; ++variant) {
+      std::vector<Formula> conjuncts = {core};
+      const int draws = 1 + variant % 2;
+      for (int d = 0; d < draws; ++d) literals.Draw(mentioned, &conjuncts);
+      Formula sentence = And(conjuncts);
+      std::optional<GroundLiteralSplit> split = SplitGroundLiterals(sentence);
+      ASSERT_TRUE(split.has_value()) << ToString(sentence);
+
+      MuOptions reference;
+      reference.strategy = MuStrategy::kReference;
+      StatusOr<Knowledgebase> expected = Mu(sentence, db, reference);
+      if (expected.ok()) {
+        ++against_reference;
+      } else {
+        ASSERT_EQ(expected.status().code(), StatusCode::kResourceExhausted);
+        MuOptions sat;
+        sat.strategy = MuStrategy::kSat;
+        expected = Mu(sentence, db, sat);
+        ASSERT_TRUE(expected.ok()) << expected.status().message();
+      }
+
+      MuOptions options;
+      options.strategy = MuStrategy::kSat;
+      internal::MuExecContext exec;
+      exec.split = &*split;
+      exec.ground_cache = &ground_cache;
+      exec.cnf_cache = &cnf_cache;
+      if (coin(rng)) {
+        exec.solver = &solver;
+        exec.scratch = &scratch;
+      }
+      MuStats stats;
+      auto got = internal::MuExec(sentence, db, options, &stats, exec);
+      ASSERT_TRUE(got.ok()) << got.status().message();
+      EXPECT_EQ(*got, *expected) << "round " << round << ": "
+                                 << ToString(sentence);
+      EXPECT_EQ(stats.used, MuStrategy::kSat);
+      kinds.Count(*split, sentence, db);
+      no_models += expected->empty();
+      ++compared;
+    }
+    // Every literal set forked the one core entry of its domain.
+    EXPECT_GT(cnf_cache.stats().misses, 0u);
+  }
+  EXPECT_GE(compared, 300);
+  EXPECT_GE(against_reference, 200);
+  EXPECT_GE(no_models, 20);
+  EXPECT_GE(kinds.mentioned, 50);
+  EXPECT_GE(kinds.old_free, 20);
+  EXPECT_GE(kinds.new_positive, 20);
+  EXPECT_GE(kinds.new_negative, 20);
+  EXPECT_GE(kinds.contradictory, 20);
+  EXPECT_GE(kinds.fresh, 20);
+}
+
+/// Property: chains of split antecedents evaluate like the unsplit chain.
+/// The first step's τ result — the kb the second step updates — equals plain
+/// Tau bit for bit, and the served answer equals plain NestedCounterfactual,
+/// with each core's caches shared by reads that differ only in literals.
+TEST(CounterfactualTest, SplitChainsMatchPlainNestedCounterfactual) {
+  std::mt19937_64 rng(20261017);
+  testutil::RandomSentenceGenerator gen(&rng, /*new_relation_prob=*/0.15);
+  LiteralSource literals(&rng);
+  std::bernoulli_distribution coin(0.5);
+  sat::Solver solver;
+  exec::WorldScratch scratch;
+  exec::ThreadPool pool(2);
+  int answered = 0;
+  int multi_world = 0;
+  for (int round = 0; round < 60; ++round) {
+    Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
+    Formula cores[2] = {NonGroundCore(&gen), NonGroundCore(&gen)};
+    std::vector<GroundAtom> mentioned = MentionedAtoms(cores[0], kb.World(0));
+    exec::GroundingCache ground_caches[2];
+    exec::CnfCache cnf_caches[2];
+    for (int read = 0; read < 3; ++read) {
+      Formula antecedents[2];
+      std::optional<GroundLiteralSplit> splits[2];
+      std::vector<ChainStep> steps;
+      for (int i = 0; i < 2; ++i) {
+        std::vector<Formula> conjuncts = {cores[i]};
+        literals.Draw(mentioned, &conjuncts);
+        antecedents[i] = And(conjuncts);
+        splits[i] = SplitGroundLiterals(antecedents[i]);
+        ASSERT_TRUE(splits[i].has_value());
+      }
+      for (int i = 0; i < 2; ++i) {
+        steps.push_back(ChainStep{&antecedents[i], &ground_caches[i],
+                                  &cnf_caches[i], &*splits[i]});
+      }
+      Formula consequent = gen.Generate(2);
+      Modality modality =
+          coin(rng) ? Modality::kNecessarily : Modality::kPossibly;
+      auto plain_first = Tau(antecedents[0], kb);
+      auto expected = NestedCounterfactual(
+          kb, {antecedents[0], antecedents[1]}, consequent, modality);
+      if (!plain_first.ok() || !expected.ok()) continue;
+      ++answered;
+      multi_world += plain_first->size() > 1;
+
+      TauOptions options;
+      if (coin(rng)) {
+        options.solver = &solver;
+        options.scratch = &scratch;
+      } else {
+        options.threads = 2;
+        options.pool = &pool;
+      }
+      TauOptions first_options = options;
+      first_options.ground_cache = &ground_caches[0];
+      first_options.cnf_cache = &cnf_caches[0];
+      auto split_first = internal::TauExec(antecedents[0], &*splits[0], kb,
+                                           first_options, nullptr);
+      ASSERT_TRUE(split_first.ok()) << split_first.status().message();
+      EXPECT_EQ(*split_first, *plain_first)
+          << "round " << round << ": " << ToString(antecedents[0]);
+
+      auto served =
+          NestedCounterfactualExec(kb, steps, consequent, modality, options);
+      ASSERT_TRUE(served.ok()) << served.status().message();
+      EXPECT_EQ(*served, *expected)
+          << "round " << round << ": " << ToString(antecedents[0]) << " > "
+          << ToString(antecedents[1]) << " > " << ToString(consequent);
+    }
+  }
+  EXPECT_GE(answered, 100);
+  EXPECT_GE(multi_world, 30);
+}
+
+/// Only the SAT strategy reads a split: a split sentence planned as Datalog,
+/// or sent to the reference enumeration, is evaluated whole and never touches
+/// the core's caches. (A definitional sentence has no ground-literal
+/// conjunct, so it never splits.)
+TEST(CounterfactualTest, SplitSentenceOffTheSatPathLeavesCoreCachesAlone) {
+  std::mt19937_64 rng(7);
+  Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
+  struct Case {
+    const char* sentence;
+    MuStrategy strategy;
+    MuStrategy used;
+  };
+  const Case cases[] = {
+      {"(forall x: P(x) -> H(x)) & H(fresh) & L(a)", MuStrategy::kAuto,
+       MuStrategy::kDatalog},
+      {"(forall x: P(x) -> Q(x, x)) & !P(a) & L(b)", MuStrategy::kReference,
+       MuStrategy::kReference},
+  };
+  for (const Case& c : cases) {
+    Formula sentence = *ParseFormula(c.sentence);
+    std::optional<GroundLiteralSplit> split = SplitGroundLiterals(sentence);
+    ASSERT_TRUE(split.has_value()) << c.sentence;
+    exec::GroundingCache ground_cache;
+    exec::CnfCache cnf_cache;
+    TauOptions options;
+    options.mu.strategy = c.strategy;
+    options.ground_cache = &ground_cache;
+    options.cnf_cache = &cnf_cache;
+    TauStats stats;
+    auto split_tau = internal::TauExec(sentence, &*split, kb, options, &stats);
+    ASSERT_TRUE(split_tau.ok()) << split_tau.status().message();
+    EXPECT_EQ(stats.mu.used, c.used) << c.sentence;
+    MuOptions plain;
+    plain.strategy = c.strategy;
+    EXPECT_EQ(*split_tau, *Tau(sentence, kb, plain)) << c.sentence;
+    EXPECT_EQ(ground_cache.entries(), 0u) << c.sentence;
+    EXPECT_EQ(cnf_cache.entries(), 0u) << c.sentence;
+    EXPECT_EQ(ground_cache.stats().misses + ground_cache.stats().hits, 0u);
+    EXPECT_EQ(cnf_cache.stats().misses + cnf_cache.stats().hits, 0u);
+  }
 }
 
 }  // namespace

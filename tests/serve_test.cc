@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/hypothetical.h"
+#include "logic/analysis.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
 #include "serve/cache_bank.h"
@@ -61,12 +64,43 @@ TEST(QueryCacheBankTest, TextualVariantsOfOneSentenceShareAnEntry) {
   ASSERT_TRUE(a.ok());
   auto b = bank.Get("P(a)  &  Q(a, b)");
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->get(), b->get());
+  EXPECT_EQ(a->caches.get(), b->caches.get());
   EXPECT_EQ(bank.entries(), 1u);
   EXPECT_EQ(bank.hits(), 1u);
   EXPECT_EQ(bank.misses(), 1u);
   // The entry's canonical formula is what borrowers evaluate.
-  ASSERT_NE((*a)->sentence, nullptr);
+  ASSERT_NE(a->caches->sentence, nullptr);
+}
+
+TEST(QueryCacheBankTest, GroundLiteralConjunctsShareTheCoreEntry) {
+  QueryCacheBank bank(8);
+  auto a = bank.Get("(forall x: P(x) -> Q(x, x)) & P(a) & !Q(b, c)");
+  ASSERT_TRUE(a.ok());
+  auto b = bank.Get("R(d) & (forall x: P(x) -> Q(x, x))");
+  ASSERT_TRUE(b.ok());
+  // One entry, holding the core; the literals and the whole sentence stay
+  // with each request.
+  EXPECT_EQ(a->caches.get(), b->caches.get());
+  EXPECT_EQ(bank.entries(), 1u);
+  EXPECT_EQ(bank.misses(), 1u);
+  EXPECT_EQ(ToString(a->caches->sentence),
+            ToString(*ParseSentence("forall x: P(x) -> Q(x, x)")));
+  ASSERT_TRUE(a->split.has_value());
+  ASSERT_TRUE(b->split.has_value());
+  EXPECT_EQ(a->split->core, a->caches->sentence);
+  EXPECT_EQ(b->split->core, a->caches->sentence);
+  EXPECT_EQ(a->split->literals.size(), 2u);
+  ASSERT_EQ(b->split->literals.size(), 1u);
+  EXPECT_EQ(ToString(b->split->literals[0]), "R(d)");
+  EXPECT_EQ(ToString(b->sentence),
+            ToString(*ParseSentence("R(d) & (forall x: P(x) -> Q(x, x))")));
+  // Nothing to split — a conjunction of literals only — keys on the whole
+  // sentence, which is then what the request evaluates.
+  auto c = bank.Get("P(a) & !Q(b, c)");
+  ASSERT_TRUE(c.ok());
+  EXPECT_FALSE(c->split.has_value());
+  EXPECT_EQ(c->sentence, c->caches->sentence);
+  EXPECT_EQ(bank.entries(), 2u);
 }
 
 TEST(QueryCacheBankTest, EvictsLeastRecentlyUsedBeyondCapacity) {
@@ -91,7 +125,8 @@ TEST(QueryCacheBankTest, EvictedEntryStaysValidForHolders) {
   ASSERT_TRUE(bank.Get("P(b)").ok());  // Evicts the held entry from the bank.
   EXPECT_EQ(bank.entries(), 1u);
   // The shared_ptr keeps the entry (and its formula) alive.
-  EXPECT_EQ(ToString((*held)->sentence), ToString(*ParseSentence("P(a)|Q(a,a)")));
+  EXPECT_EQ(ToString(held->caches->sentence),
+            ToString(*ParseSentence("P(a)|Q(a,a)")));
 }
 
 TEST(QueryCacheBankTest, ParseErrorsPropagate) {
@@ -112,11 +147,11 @@ TEST(QueryCacheBankTest, DomainCapBoundsPerSentenceGrowthUnderChurn) {
   QueryCacheBank bank(4, /*entry_byte_budget=*/0, /*entry_max_domains=*/2);
   auto entry = bank.Get("P(a)");
   ASSERT_TRUE(entry.ok());
+  SentenceCaches& caches = *entry->caches;
   GrounderOptions gopts;
 
   std::vector<Value> first_domain = {Name("a")};
-  auto first = (*entry)->ground.GetOrGround((*entry)->sentence, first_domain,
-                                            gopts);
+  auto first = caches.ground.GetOrGround(caches.sentence, first_domain, gopts);
   ASSERT_TRUE(first.ok());
   const size_t first_circuit = (*first)->grounding.circuit.size();
 
@@ -125,16 +160,15 @@ TEST(QueryCacheBankTest, DomainCapBoundsPerSentenceGrowthUnderChurn) {
     for (int j = 0; j <= i; ++j) {
       domain.push_back(Name("c" + std::to_string(j)));
     }
-    auto g = (*entry)->ground.GetOrGround((*entry)->sentence, domain, gopts);
+    auto g = caches.ground.GetOrGround(caches.sentence, domain, gopts);
     ASSERT_TRUE(g.ok()) << g.status().message();
-    EXPECT_LE((*entry)->ground.entries(), 2u) << "round " << i;
+    EXPECT_LE(caches.ground.entries(), 2u) << "round " << i;
   }
-  EXPECT_GE((*entry)->ground.stats().evictions, 8u);
+  EXPECT_GE(caches.ground.stats().evictions, 8u);
 
   // The first domain was evicted long ago; recomputing it yields the same
   // grounding shape.
-  auto again = (*entry)->ground.GetOrGround((*entry)->sentence, first_domain,
-                                            gopts);
+  auto again = caches.ground.GetOrGround(caches.sentence, first_domain, gopts);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ((*again)->grounding.circuit.size(), first_circuit);
 }
@@ -218,6 +252,24 @@ TEST(ServeServerTest, ServedReadsEquivalentToPlainNestedCounterfactual) {
   testutil::RandomSentenceGenerator gen(&rng);
   std::uniform_int_distribution<int> chain_len(0, 2);
   std::bernoulli_distribution coin(0.5);
+  // Half the antecedents gain ground-literal conjuncts, which the bank splits
+  // off their core: on old and new relations (L is new to every kb), over a
+  // constant no kb uses, and contradictory pairs. A separate stream keeps the
+  // unsplit reads the same as without them.
+  std::mt19937_64 split_rng(1017);
+  testutil::RandomSentenceGenerator core_gen(&split_rng);
+  auto literal = [&]() {
+    const char* constants[] = {"a", "b", "c", "fresh"};
+    std::uniform_int_distribution<int> pick(0, 3);
+    std::uniform_int_distribution<int> relation(0, 2);
+    Term x = Term::Const(constants[pick(split_rng)]);
+    Term y = Term::Const(constants[pick(split_rng)]);
+    const int r = relation(split_rng);
+    Formula atom = r == 0 ? Atom("P", {x}) : r == 1 ? Atom("L", {x})
+                                                    : Atom("Q", {x, y});
+    return coin(split_rng) ? atom : Not(atom);
+  };
+  int split = 0;
 
   for (int round = 0; round < 30; ++round) {
     Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
@@ -229,6 +281,19 @@ TEST(ServeServerTest, ServedReadsEquivalentToPlainNestedCounterfactual) {
       int len = chain_len(rng);
       for (int i = 0; i < len; ++i) {
         Formula f = gen.Generate(2);
+        if (coin(split_rng)) {
+          while (IsGround(f)) f = core_gen.Generate(2);
+          std::vector<Formula> conjuncts = {f, literal()};
+          if (coin(split_rng)) conjuncts.push_back(literal());
+          if (coin(split_rng)) {  // A contradictory pair.
+            const Formula& last = conjuncts.back();
+            conjuncts.push_back(last->kind() == FormulaKind::kNot
+                                    ? last->children()[0]
+                                    : Not(last));
+          }
+          f = And(conjuncts);
+          split += SplitGroundLiterals(f).has_value();
+        }
         antecedents.push_back(f);
         request.antecedents.push_back(ToString(f));
       }
@@ -247,6 +312,7 @@ TEST(ServeServerTest, ServedReadsEquivalentToPlainNestedCounterfactual) {
           << " onto " << request.consequent;
     }
   }
+  EXPECT_GE(split, 50);
 }
 
 /// Same property with the bank disabled (the no-batch baseline path).
@@ -320,6 +386,124 @@ TEST(ServeServerTest, ByteBudgetEvictsSentenceEntriesUnderDomainChurn) {
   }
   EXPECT_GT(bounded.stats().bank_budget_evictions, 0u);
   EXPECT_EQ(unbounded.stats().bank_budget_evictions, 0u);
+}
+
+/// Regression for the many-world read shape (perfbench's worldset_read):
+/// 200 distinct reads of the orient constraint plus ground literals, sent
+/// from two concurrent sessions, answer exactly as on a bank-off server —
+/// and all of them share one bank entry, the orient core's.
+TEST(ServeServerTest, OrientReadsWithLiteralsShareOneCoreEntry) {
+  std::mt19937_64 rng(20260808);
+  Knowledgebase kb = testutil::DeltaKb(&rng);
+  std::vector<ReadRequest> requests;
+  std::set<std::string> distinct;
+  while (requests.size() < 200) {
+    ReadRequest request;
+    std::string literal = testutil::DeltaLiteral(&rng);
+    request.antecedents = {std::string(testutil::kOrient) + " & " + literal +
+                           (requests.size() % 2 == 0
+                                ? ""
+                                : " & " + testutil::DeltaLiteral(&rng))};
+    // Every third consequent asks about the first literal's own atom.
+    request.consequent = testutil::DeltaLiteral(&rng);
+    if (requests.size() % 3 == 0) {
+      request.consequent = literal[0] == '!' ? literal.substr(1) : literal;
+    }
+    request.modality = requests.size() / 2 % 2 == 0 ? Modality::kNecessarily
+                                                     : Modality::kPossibly;
+    if (distinct.insert(request.antecedents[0] + " > " + request.consequent)
+            .second) {
+      requests.push_back(std::move(request));
+    }
+  }
+
+  ServerOptions bank_off;
+  bank_off.use_cache_bank = false;
+  Server reference(kb, bank_off);
+  std::unique_ptr<Session> reference_session = reference.StartSession();
+  std::vector<char> expected;
+  for (const ReadRequest& request : requests) {
+    auto read = reference_session->Query(request);
+    ASSERT_TRUE(read.ok()) << read.status().message();
+    expected.push_back(read->holds);
+  }
+
+  Server server(kb);
+  std::vector<char> served(requests.size(), 2);
+  std::vector<std::thread> sessions;
+  for (size_t s = 0; s < 2; ++s) {
+    sessions.emplace_back([&, s] {
+      std::unique_ptr<Session> session = server.StartSession();
+      for (size_t i = s; i < requests.size(); i += 2) {
+        auto read = session->Query(requests[i]);
+        if (read.ok()) served[i] = read->holds;
+      }
+    });
+  }
+  for (std::thread& t : sessions) t.join();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(served[i], expected[i])
+        << "read " << i << ": " << requests[i].antecedents[0] << " > "
+        << requests[i].consequent;
+  }
+  Server::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.bank_misses, 1u);
+  EXPECT_EQ(stats.bank_hits, requests.size() - 1);
+}
+
+/// Reads pairing one core with a literal over a constant the kb never uses —
+/// "what if a new entity" — must not grow the shared core entry: each such
+/// constant makes a domain of its own, so τ grounds those reads through
+/// per-call caches, and the entry keeps the single domain of the core's reads
+/// over known constants. The reads run as Server::ExecuteRead runs them, and
+/// answer as the unsplit, uncached evaluation does.
+TEST(QueryCacheBankTest, FreshConstantLiteralsLeaveTheCoreEntryOneDomain) {
+  std::mt19937_64 rng(4242);
+  Knowledgebase kb = testutil::DeltaKb(&rng);
+  QueryCacheBank bank;
+  TauOptions options;
+  options.threads = 1;
+  int fresh_reads = 0;
+  std::shared_ptr<SentenceCaches> core;
+  for (int i = 0; i < 240; ++i) {
+    // Three reads in four name a new constant, on an old or a new relation.
+    const std::string c = "new" + std::to_string(i);
+    const std::string fresh[] = {"P(" + c + ")", "!R(n1, " + c + ")",
+                                 "S(" + c + ", n2)", "!S(n0, " + c + ")"};
+    std::string literal =
+        i % 4 == 0 ? testutil::DeltaLiteral(&rng) : fresh[i / 4 % 4];
+    fresh_reads += i % 4 != 0;
+    auto entry = bank.Get(std::string(testutil::kOrient) + " & " + literal);
+    ASSERT_TRUE(entry.ok()) << entry.status().message();
+    ASSERT_TRUE(entry->split.has_value());
+    core = entry->caches;
+    ChainStep banked{&entry->sentence, &entry->caches->ground,
+                     &entry->caches->cnf, &*entry->split};
+    ChainStep plain{&entry->sentence};
+    // Every third consequent asks about the literal's own atom.
+    Formula consequent = *ParseSentence(
+        i % 3 == 0 ? literal.substr(literal[0] == '!')
+                   : testutil::DeltaLiteral(&rng));
+    Modality modality = i % 2 == 0 ? Modality::kNecessarily
+                                   : Modality::kPossibly;
+    auto served =
+        NestedCounterfactualExec(kb, {banked}, consequent, modality, options);
+    ASSERT_TRUE(served.ok()) << served.status().message();
+    auto expected =
+        NestedCounterfactualExec(kb, {plain}, consequent, modality, options);
+    ASSERT_TRUE(expected.ok()) << expected.status().message();
+    EXPECT_EQ(*served, *expected) << "read " << i << ": "
+                                  << ToString(entry->sentence) << " > "
+                                  << ToString(consequent);
+    ASSERT_LE(entry->caches->ground.entries(), 1u) << "read " << i;
+    ASSERT_LE(entry->caches->cnf.entries(), 1u) << "read " << i;
+  }
+  EXPECT_EQ(fresh_reads, 180);
+  EXPECT_EQ(bank.entries(), 1u);
+  EXPECT_EQ(bank.misses(), 1u);
+  // The reads over known constants did fill the entry.
+  EXPECT_EQ(core->ground.entries(), 1u);
+  EXPECT_EQ(core->cnf.entries(), 1u);
 }
 
 // ---------------------------------------------------------------------------

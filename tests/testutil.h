@@ -304,6 +304,77 @@ class RandomSentenceGenerator {
   double new_relation_prob_;
 };
 
+// ---------------------------------------------------------------------------
+// Many-world reads in the shape of perfbench's worldset_read, built here: the
+// benchmark checks its answers against a server running this same code, so
+// only a comparison with the plain evaluation can catch a wrong early stop or
+// a wrong split.
+
+inline constexpr int kDeltaDomain = 6;
+
+inline std::string DeltaConst(int i) { return "n" + std::to_string(i); }
+
+/// 64 worlds over {Dom, R, P}, each flipping a distinct pair of R cells of one
+/// base; P is one set shared by all worlds.
+inline Knowledgebase DeltaKb(std::mt19937_64* rng) {
+  Schema schema = *Schema::Of({{"Dom", 1}, {"R", 2}, {"P", 1}});
+  const int cells = kDeltaDomain * kDeltaDomain;
+  std::bernoulli_distribution dense(0.35);
+  std::bernoulli_distribution half(0.5);
+  std::uniform_int_distribution<int> cell(0, cells - 1);
+  std::vector<bool> base(cells);
+  for (int c = 0; c < cells; ++c) base[c] = dense(*rng);
+  Relation::Builder dom(1);
+  Relation::Builder p(1);
+  for (int i = 0; i < kDeltaDomain; ++i) {
+    dom.Append({Name(DeltaConst(i))});
+    if (half(*rng)) p.Append({Name(DeltaConst(i))});
+  }
+  Relation dom_rel = dom.Build();
+  Relation p_rel = p.Build();
+  std::set<std::pair<int, int>> flips;
+  std::vector<Database> dbs;
+  while (dbs.size() < 64) {
+    int a = cell(*rng);
+    int b = cell(*rng);
+    if (a == b || !flips.insert({std::min(a, b), std::max(a, b)}).second) {
+      continue;
+    }
+    std::vector<bool> world = base;
+    world[a] = !world[a];
+    world[b] = !world[b];
+    Relation::Builder r(2);
+    for (int c = 0; c < cells; ++c) {
+      if (world[c]) {
+        r.Append({Name(DeltaConst(c / kDeltaDomain)),
+                  Name(DeltaConst(c % kDeltaDomain))});
+      }
+    }
+    dbs.push_back(*Database::Create(schema, {dom_rel, r.Build(), p_rel}));
+  }
+  return *Knowledgebase::FromDatabases(std::move(dbs));
+}
+
+/// A ground literal over P/1, R/2 or S/2 (S is new to the kb).
+inline std::string DeltaLiteral(std::mt19937_64* rng) {
+  const std::pair<const char*, int> rels[] = {{"P", 1}, {"R", 2}, {"S", 2}};
+  std::uniform_int_distribution<int> rel(0, 2);
+  std::uniform_int_distribution<int> constant(0, kDeltaDomain - 1);
+  std::bernoulli_distribution negate(0.5);
+  auto [name, arity] = rels[rel(*rng)];
+  std::string literal = negate(*rng) ? "!" : "";
+  literal += std::string(name) + "(";
+  for (int a = 0; a < arity; ++a) {
+    if (a > 0) literal += ", ";
+    literal += DeltaConst(constant(*rng));
+  }
+  return literal + ")";
+}
+
+/// The sentence that forces μ onto the SAT strategy.
+inline constexpr const char* kOrient =
+    "(forall x, y: (R(x, y) & !R(y, x)) -> (S(x, y) & !S(y, x)))";
+
 /// Knowledgebase as a set of database strings, for order-insensitive asserts.
 inline std::set<std::string> KbAsStrings(const Knowledgebase& kb) {
   std::set<std::string> out;
