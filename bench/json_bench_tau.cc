@@ -1,27 +1,20 @@
 /// \file
 /// Machine-readable benchmark harness for the τ executor: the world-parallel
 /// fan-out over exec/ (per-worker solver pools, domain-keyed grounding and
-/// frozen-CNF-prefix caches, hash-based union). Each workload is measured —
-///
-///   * pr2     — the pre-executor loop (fresh μ per world, repeated pairwise
-///               UnionWith), reconstructed here as the baseline,
-///   * t1_nocache  — threads=1, all domain-keyed sharing off (per-world
-///                   grounding AND per-world Tseitin encoding),
-///   * t1_noprefix — threads=1 with the grounding cache but no prefix
-///                   sharing (the PR 3 configuration),
-///   * t1      — threads=1, grounding cache + frozen-CNF-prefix solver forks,
-///   * t2/t4   — Tau with 2 and 4 worker threads (all sharing on),
-///
-/// and tagged with `rev` so rows can be appended to BENCH_tau.json next to
-/// earlier revisions' rows — the perf trajectory stays diffable across PRs.
-/// speedup_vs_pr2 is the headline number; the cache and prefix hit counters
-/// separate grounding reuse, encoding reuse and thread scaling (on a
-/// single-core host the first two are the entire win).
+/// frozen-CNF-prefix caches, hash-based union). Each workload is measured as
+/// `_t1`, `_t2` and `_t4` — Tau with 1, 2 and 4 worker threads — and tagged
+/// with `rev` so rows can be appended to BENCH_tau.json next to earlier
+/// revisions' rows; the perf trajectory stays diffable. The cache and prefix
+/// hit counters separate grounding reuse and encoding reuse from thread
+/// scaling. The `_pr2`, `_t1_nocache` and `_t1_noprefix` rows and the
+/// speedup_vs_pr2 column in BENCH_tau.json are history: they measured a
+/// reconstructed pre-executor loop and cache-off modes that no longer exist.
 ///
 /// Usage: json_bench_tau [output.json]   (default: BENCH_tau.json; when the
 /// file should keep older revisions, write elsewhere and append by hand.)
 
 #include <cstdio>
+#include <initializer_list>
 #include <random>
 #include <string>
 #include <vector>
@@ -41,7 +34,6 @@ struct TauBenchRecord {
   int threads = 1;
   double ms_per_op = 0.0;
   double ops_per_sec = 0.0;
-  double speedup_vs_pr2 = 1.0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t prefix_hits = 0;
@@ -87,13 +79,13 @@ bool WriteTauBenchJson(const std::string& path,
              "    {\"name\": \"%s\", \"rev\": \"%s\", \"worlds\": %d, "
              "\"threads\": %d, "
              "\"ms_per_op\": %.4f, \"ops_per_sec\": %.3f, "
-             "\"speedup_vs_pr2\": %.2f, \"cache_hits\": %llu, "
+             "\"cache_hits\": %llu, "
              "\"cache_misses\": %llu, \"prefix_hits\": %llu, "
              "\"prefix_misses\": %llu, \"reused_levels\": %llu, "
              "\"output_databases\": %zu, \"mem_bytes_per_world\": %zu, "
              "\"flat_bytes_per_world\": %zu}%s\n",
              r.name.c_str(), kRev, r.worlds, r.threads, r.ms_per_op,
-             r.ops_per_sec, r.speedup_vs_pr2,
+             r.ops_per_sec,
              static_cast<unsigned long long>(r.cache_hits),
              static_cast<unsigned long long>(r.cache_misses),
              static_cast<unsigned long long>(r.prefix_hits),
@@ -105,25 +97,6 @@ bool WriteTauBenchJson(const std::string& path,
   }
   ok = std::fprintf(f, "  ]\n}\n") >= 0 && ok;
   return std::fclose(f) == 0 && ok;
-}
-
-/// The pre-executor τ loop, kept as the measurement baseline: a fresh μ per
-/// world (no shared grounding, no solver reuse) and repeated pairwise union
-/// (each step re-sorting the accumulated result).
-Knowledgebase TauPr2Baseline(const Formula& sentence, const Knowledgebase& kb,
-                             const MuOptions& options) {
-  Knowledgebase result;
-  bool first = true;
-  for (const Database& db : kb) {
-    Knowledgebase models = *Mu(sentence, db, options);
-    if (first) {
-      result = std::move(models);
-      first = false;
-    } else {
-      result = *result.UnionWith(models);
-    }
-  }
-  return result;
 }
 
 /// All 2^n S-colorings of an even cycle over E — the Theorem 5.1 construction
@@ -205,46 +178,14 @@ Knowledgebase DeltaWorlds(int num_worlds, int domain_size, int flips,
   return *Knowledgebase::FromDatabases(std::move(worlds));
 }
 
-/// Measures one (workload, sentence) pair across the execution modes and
-/// appends the records.
+/// Measures one (workload, sentence) pair at each thread count and appends
+/// one `<name>_t<threads>` record per count.
 void MeasureWorkload(const std::string& name, const Formula& sentence,
-                     const Knowledgebase& kb, std::vector<TauBenchRecord>* out) {
-  MuOptions mu;
-  double pr2_ms = MeasureMs([&] {
-    Knowledgebase r = TauPr2Baseline(sentence, kb, mu);
-    static_cast<void>(r);
-  });
-  {
-    TauBenchRecord r;
-    r.name = name + "_pr2";
-    r.worlds = static_cast<int>(kb.size());
-    r.threads = 1;
-    r.ms_per_op = pr2_ms;
-    r.ops_per_sec = pr2_ms > 0 ? 1000.0 / pr2_ms : 0.0;
-    r.output_databases = TauPr2Baseline(sentence, kb, mu).size();
-    StampMemoryColumns(kb, &r);
-    out->push_back(r);
-  }
-
-  struct Mode {
-    const char* suffix;
-    size_t threads;
-    bool cache;
-    bool prefix;
-  };
-  const Mode modes[] = {
-      {"_t1_nocache", 1, false, false},
-      {"_t1_noprefix", 1, true, false},
-      {"_t1", 1, true, true},
-      {"_t2", 2, true, true},
-      {"_t4", 4, true, true},
-  };
-  for (const Mode& mode : modes) {
+                     const Knowledgebase& kb, std::vector<TauBenchRecord>* out,
+                     std::initializer_list<size_t> thread_counts = {1, 2, 4}) {
+  for (size_t threads : thread_counts) {
     TauOptions options;
-    options.mu = mu;
-    options.threads = mode.threads;
-    options.use_ground_cache = mode.cache;
-    options.use_cnf_prefix = mode.prefix;
+    options.threads = threads;
     TauStats stats;
     double ms = MeasureMs([&] {
       stats = TauStats();
@@ -252,12 +193,11 @@ void MeasureWorkload(const std::string& name, const Formula& sentence,
       if (!r.ok()) std::abort();
     });
     TauBenchRecord r;
-    r.name = name + mode.suffix;
+    r.name = name + "_t" + std::to_string(threads);
     r.worlds = static_cast<int>(kb.size());
     r.threads = static_cast<int>(stats.threads_used);
     r.ms_per_op = ms;
     r.ops_per_sec = ms > 0 ? 1000.0 / ms : 0.0;
-    r.speedup_vs_pr2 = ms > 0 ? pr2_ms / ms : 0.0;
     r.cache_hits = stats.ground_cache_hits;
     r.cache_misses = stats.ground_cache_misses;
     r.prefix_hits = stats.cnf_cache_hits;
@@ -305,37 +245,6 @@ Knowledgebase ManyDeltaWorlds(int num_worlds, int domain_size) {
   return *Knowledgebase::FromDatabases(std::move(worlds));
 }
 
-/// The many-worlds rows: memory columns on thousands of worlds plus one timed
-/// τ on the cheap ground-insert path (the pr2 baseline's quadratic pairwise
-/// union is hopeless at this scale, so speedup_vs_pr2 is left at 1).
-void MeasureManyWorlds(const std::string& name, const Formula& sentence,
-                       const Knowledgebase& kb,
-                       std::vector<TauBenchRecord>* out) {
-  for (size_t threads : {1u, 4u}) {
-    TauOptions options;
-    options.threads = threads;
-    TauStats stats;
-    double ms = MeasureMs([&] {
-      stats = TauStats();
-      auto r = Tau(sentence, kb, options, &stats);
-      if (!r.ok()) std::abort();
-    });
-    TauBenchRecord r;
-    r.name = name + (threads == 1 ? "_t1" : "_t4");
-    r.worlds = static_cast<int>(kb.size());
-    r.threads = static_cast<int>(stats.threads_used);
-    r.ms_per_op = ms;
-    r.ops_per_sec = ms > 0 ? 1000.0 / ms : 0.0;
-    r.cache_hits = stats.ground_cache_hits;
-    r.cache_misses = stats.ground_cache_misses;
-    r.prefix_hits = stats.cnf_cache_hits;
-    r.prefix_misses = stats.cnf_cache_misses;
-    r.output_databases = stats.output_databases;
-    StampMemoryColumns(kb, &r);
-    out->push_back(r);
-  }
-}
-
 int Main(int argc, char** argv) {
   const char* path = argc > 1 ? argv[1] : "BENCH_tau.json";
   std::vector<TauBenchRecord> records;
@@ -371,10 +280,10 @@ int Main(int argc, char** argv) {
   // Thousands of worlds, each a few tuples off one shared base: the
   // delta-structured representation's memory case (PR 7). mem_bytes_per_world
   // must stay O(delta) while flat_bytes_per_world scales with the database.
-  MeasureManyWorlds("tau_many_worlds_w1024", ground_insert,
-                    ManyDeltaWorlds(1024, 32), &records);
-  MeasureManyWorlds("tau_many_worlds_w4096", ground_insert,
-                    ManyDeltaWorlds(4096, 32), &records);
+  MeasureWorkload("tau_many_worlds_w1024", ground_insert,
+                  ManyDeltaWorlds(1024, 32), &records, {1, 4});
+  MeasureWorkload("tau_many_worlds_w4096", ground_insert,
+                  ManyDeltaWorlds(4096, 32), &records, {1, 4});
 
   if (!WriteTauBenchJson(path, records)) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -382,10 +291,10 @@ int Main(int argc, char** argv) {
   }
   for (const TauBenchRecord& r : records) {
     std::printf(
-        "%-28s worlds=%-5d threads=%d %10.4f ms/op %8.2fx vs pr2  "
+        "%-28s worlds=%-5d threads=%d %10.4f ms/op  "
         "cache %llu/%llu  prefix %llu/%llu  reused=%llu  out=%zu  "
         "mem/world=%zuB flat/world=%zuB\n",
-        r.name.c_str(), r.worlds, r.threads, r.ms_per_op, r.speedup_vs_pr2,
+        r.name.c_str(), r.worlds, r.threads, r.ms_per_op,
         static_cast<unsigned long long>(r.cache_hits),
         static_cast<unsigned long long>(r.cache_misses),
         static_cast<unsigned long long>(r.prefix_hits),

@@ -110,7 +110,7 @@ StatusOr<Knowledgebase> MuExec(const Formula& sentence, const Database& db,
             "sentence is not Datalog-restricted with new head predicates");
       }
       out->used = MuStrategy::kDatalog;
-      return internal::MuDatalog(*plan, db, ctx, options, out);
+      return internal::MuDatalog(*plan, db, ctx, out);
     }
     case MuStrategy::kDefinitional: {
       KBT_ASSIGN_OR_RETURN(auto plan, internal::PlanDefinitional(sentence, db));
@@ -142,7 +142,7 @@ StatusOr<Knowledgebase> MuExec(const Formula& sentence, const Database& db,
     }
     if (plan.datalog != nullptr) {
       out->used = MuStrategy::kDatalog;
-      return internal::MuDatalog(*plan.datalog, db, ctx, options, out);
+      return internal::MuDatalog(*plan.datalog, db, ctx, out);
     }
     if (plan.definitional != nullptr) {
       out->used = MuStrategy::kDefinitional;
@@ -165,7 +165,7 @@ StatusOr<Knowledgebase> MuExec(const Formula& sentence, const Database& db,
     KBT_ASSIGN_OR_RETURN(auto plan, internal::PlanDatalog(sentence, db));
     if (plan) {
       out->used = MuStrategy::kDatalog;
-      return internal::MuDatalog(*plan, db, ctx, options, out);
+      return internal::MuDatalog(*plan, db, ctx, out);
     }
   }
   {

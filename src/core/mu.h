@@ -15,7 +15,8 @@
 ///  * kSat — the scalable engine: Tseitin-encode the grounding and enumerate
 ///    Winslett-minimal models with a CDCL solver via two-stage descent
 ///    (old-relation symmetric differences first, then new-relation contents) and
-///    cone-blocking clauses.
+///    cone-blocking clauses. The descent orders its assumptions so the
+///    solver's trail saving re-propagates only what changes between steps.
 ///  * kDatalog — Theorem 4.8: φ is a conjunction of universally closed Horn clauses
 ///    whose head predicates are new; μ is the singleton {db ∪ lfp(P)} computed by
 ///    semi-naive evaluation.
@@ -55,19 +56,6 @@ struct MuOptions {
   size_t max_reference_atoms = 20;
   /// Maximum number of minimal models μ may return before kResourceExhausted.
   size_t max_models = 1'000'000;
-  /// Ablation knob: block the full cone above each reported minimal model (one
-  /// clause) instead of only its exact assignment. Off forces the enumerator to
-  /// rediscover and re-descend dominated models; bench_ablation measures the gap.
-  bool use_cone_blocking = true;
-  /// Datalog strategy: semi-naive vs naive fixpoint (bench_ablation).
-  bool use_seminaive = true;
-  /// SAT strategy: incremental solving under assumptions via trail saving
-  /// (sat::SolverOptions::reuse_assumption_trail) plus the descent's
-  /// prefix-stable assumption ordering and deferred guard retirement that
-  /// exploit it. Off reproduces the pre-reuse solver call sequence bit for bit
-  /// (the json_bench_mu `_noreuse` mode); either way μ returns the identical
-  /// minimal-model set (property-tested in tests/pipeline_fuzz_test.cc).
-  bool reuse_assumption_trail = true;
   /// Cooperative cancellation: checked at enumeration boundaries and polled
   /// inside the SAT search; an expired token makes μ return kDeadlineExceeded.
   /// Must outlive the call. nullptr (the default) disables every check — the
@@ -94,8 +82,8 @@ struct MuStats {
   uint64_t sat_solve_calls = 0;
   uint64_t sat_conflicts = 0;
   uint64_t sat_decisions = 0;
-  /// Assumption decision levels retained across descent solves, and the trail
-  /// literals those levels kept enqueued (0 with reuse_assumption_trail off).
+  /// Assumption decision levels retained across descent solves by the solver's
+  /// trail saving, and the trail literals those levels kept enqueued.
   uint64_t sat_reused_levels = 0;
   uint64_t sat_saved_propagations = 0;
   /// Interrupt-token polls inside the SAT search and solves abandoned by a

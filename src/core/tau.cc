@@ -135,13 +135,12 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
   base_exec.extended_schema = &loop->extended_schema;
   base_exec.formula_constants = &formula_constants;
   base_exec.split = split;
-  if (options.use_ground_cache) base_exec.ground_cache = cache;
+  base_exec.ground_cache = cache;
   // Freezing and forking only pays for itself when a prefix is reused: a
   // singleton kb would encode once either way but add a snapshot copy, so the
   // prefix path needs at least two worlds — unless the cache outlives this
   // call, where the fork amortizes across calls instead.
-  if (options.use_cnf_prefix &&
-      (kb.size() > 1 || options.cnf_cache != nullptr)) {
+  if (kb.size() > 1 || options.cnf_cache != nullptr) {
     base_exec.cnf_cache = cnf_cache;
   }
 
@@ -175,7 +174,7 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
         // Keeps the caller's caches to the core's own domains (TauExec).
         if (exec.split != nullptr &&
             !LiteralsInCoreDomain(*exec.split, world)) {
-          exec.ground_cache = exec.ground_cache ? &local_ground_cache : nullptr;
+          exec.ground_cache = &local_ground_cache;
           exec.cnf_cache = exec.cnf_cache ? &local_cnf_cache : nullptr;
         }
         KBT_ASSIGN_OR_RETURN(Knowledgebase r,

@@ -11,9 +11,12 @@
 /// The member updates are independent, so τ runs on the exec/ subsystem: worlds
 /// are partitioned into stealable chunks over a work-stealing thread pool, each
 /// worker owns a reusable Solver, and worlds with identical active domains share
-/// one grounded circuit through a domain-keyed cache. threads = 1 (the default)
-/// is the plain sequential loop; every thread count produces the same canonical
-/// Knowledgebase bit for bit (tests/tau_parallel_test.cc).
+/// one grounded circuit through a domain-keyed cache — and, on the SAT path of
+/// a kb with two or more worlds, one frozen Tseitin-encoded CNF prefix that
+/// per-world solvers fork from instead of replaying AddClause
+/// (exec/cnf_cache.h). threads = 1 (the default) is the plain sequential loop;
+/// every thread count produces the same canonical Knowledgebase bit for bit,
+/// equal to the union of plain per-world μ calls (tests/tau_parallel_test.cc).
 
 #include <functional>
 
@@ -44,14 +47,6 @@ struct TauOptions {
   /// Worker threads for the world fan-out. 1 = sequential in the calling
   /// thread; 0 = one per hardware thread.
   size_t threads = 1;
-  /// Share groundings across worlds with identical active domains (both the
-  /// sequential and the parallel path benefit).
-  bool use_ground_cache = true;
-  /// Share the frozen Tseitin-encoded CNF prefix across same-domain worlds on
-  /// the SAT path: encode once, fork per-world solvers from the snapshot
-  /// instead of replaying AddClause (see exec/cnf_cache.h). Results are
-  /// bit-identical either way.
-  bool use_cnf_prefix = true;
   /// Borrowed persistent worker pool. When set (and the resolved thread count
   /// is > 1), τ fans out on this pool instead of spawning one per call — the
   /// serving-loop configuration Engine sets up; see EngineOptions. Must outlive
@@ -86,13 +81,13 @@ struct TauStats {
   MuStats mu;
   /// Worker threads actually used (1 for the sequential path).
   size_t threads_used = 1;
-  /// Domain-keyed grounding cache counters (0/0 when the cache is off or no
-  /// world took a grounding strategy).
+  /// Domain-keyed grounding cache counters (0/0 when no world took a
+  /// grounding strategy).
   uint64_t ground_cache_hits = 0;
   uint64_t ground_cache_misses = 0;
-  /// Frozen-CNF-prefix cache counters (0/0 when prefix sharing is off or no
-  /// world took the SAT strategy). A hit is one world's Tseitin encoding
-  /// replaced by a bulk solver fork.
+  /// Frozen-CNF-prefix cache counters (0/0 for a singleton kb without an
+  /// external cnf_cache, or when no world took the SAT strategy). A hit is one
+  /// world's Tseitin encoding replaced by a bulk solver fork.
   uint64_t cnf_cache_hits = 0;
   uint64_t cnf_cache_misses = 0;
 };

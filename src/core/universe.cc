@@ -1,7 +1,5 @@
 #include "core/universe.h"
 
-#include <algorithm>
-
 #include "eval/model_check.h"
 #include "logic/analysis.h"
 
@@ -12,12 +10,9 @@ StatusOr<UpdateContext> MakeUpdateContext(const Formula& sentence,
   if (!IsSentence(sentence)) {
     return Status::InvalidArgument("update requires a sentence (no free variables)");
   }
-  UpdateContext ctx;
   KBT_ASSIGN_OR_RETURN(Schema formula_schema, SchemaOf(sentence));
-  KBT_ASSIGN_OR_RETURN(ctx.schema, db.schema().Union(formula_schema));
-  ctx.domain = ActiveDomain(db, sentence);
-  KBT_ASSIGN_OR_RETURN(ctx.extended_base, db.ExtendTo(ctx.schema));
-  return ctx;
+  KBT_ASSIGN_OR_RETURN(Schema schema, db.schema().Union(formula_schema));
+  return MakeUpdateContextOnSchema(schema, ConstantsOf(sentence), db);
 }
 
 StatusOr<UpdateContext> MakeUpdateContextOnSchema(
@@ -25,12 +20,7 @@ StatusOr<UpdateContext> MakeUpdateContextOnSchema(
     const Database& db) {
   UpdateContext ctx;
   ctx.schema = schema;
-  // Same recipe as ActiveDomain(db, sentence) with ConstantsOf hoisted.
-  ctx.domain = db.ActiveDomain();
-  ctx.domain.insert(ctx.domain.end(), constants.begin(), constants.end());
-  std::sort(ctx.domain.begin(), ctx.domain.end());
-  ctx.domain.erase(std::unique(ctx.domain.begin(), ctx.domain.end()),
-                   ctx.domain.end());
+  ctx.domain = ActiveDomain(db, constants);
   KBT_ASSIGN_OR_RETURN(ctx.extended_base, db.ExtendTo(ctx.schema));
   return ctx;
 }

@@ -7,8 +7,8 @@
 ///
 /// Theorem 4.8's PTIME bound rests on "Datalog programs have a unique least model
 /// that can be computed using naive evaluation in PTIME"; semi-naive is the standard
-/// differential refinement and is the default here (bench/bench_ablation.cc measures
-/// the gap). Stratified negation implements the paper's remark that the iterative
+/// differential refinement and is the default here (naive evaluation stays as the
+/// oracle tests/datalog_test.cc checks it against). Stratified negation implements the paper's remark that the iterative
 /// fixpoint of a stratified program is obtained by updating with the strata in
 /// hierarchical order.
 

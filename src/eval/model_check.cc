@@ -126,9 +126,13 @@ class Checker {
 }  // namespace
 
 std::vector<Value> ActiveDomain(const Database& db, const Formula& f) {
+  return ActiveDomain(db, ConstantsOf(f));
+}
+
+std::vector<Value> ActiveDomain(const Database& db,
+                                const std::vector<Value>& constants) {
   std::vector<Value> domain = db.ActiveDomain();
-  std::vector<Value> consts = ConstantsOf(f);
-  domain.insert(domain.end(), consts.begin(), consts.end());
+  domain.insert(domain.end(), constants.begin(), constants.end());
   std::sort(domain.begin(), domain.end());
   domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
   return domain;

@@ -40,6 +40,11 @@ StatusOr<Relation> EvaluateQuery(const Database& db, const Formula& f,
 /// Computes the active domain for (db, φ): values of db ∪ constants of φ, sorted.
 std::vector<Value> ActiveDomain(const Database& db, const Formula& f);
 
+/// The same recipe with φ's constants already collected (ConstantsOf):
+/// values of db ∪ `constants`, sorted and deduplicated.
+std::vector<Value> ActiveDomain(const Database& db,
+                                const std::vector<Value>& constants);
+
 }  // namespace kbt
 
 #endif  // KBT_EVAL_MODEL_CHECK_H_

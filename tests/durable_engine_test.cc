@@ -168,7 +168,9 @@ TEST(DurableEngineTest, GroupCommitSyncsAtTheInterval) {
       auto store = MustOpen("db", InitialKb(),
                             WithEnv(&env, SyncMode::kGroupCommit, 2));
       ASSERT_TRUE(store->Apply("tau{ P(a) }").ok());
-      if (commits == 2) ASSERT_TRUE(store->Apply("tau{ P(b) }").ok());
+      if (commits == 2) {
+        ASSERT_TRUE(store->Apply("tau{ P(b) }").ok());
+      }
       committed = store->kb();
     }
     env.Crash();

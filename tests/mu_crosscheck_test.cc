@@ -51,24 +51,36 @@ TEST_P(MuCrosscheckTest, SatMatchesReferenceOnRandomInputs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MuCrosscheckTest, ::testing::Range(0, 25));
 
-/// Cone-blocking is a pure optimization: results must match with it disabled.
+/// Cone blocking — each reported minimal model blocks its whole ≥_db up-set,
+/// not just its own assignment — is the SAT enumerator's only blocking mode, so
+/// its soundness is checked against the specification: on inputs where the
+/// reference enumeration applies (at most max_reference_atoms mentioned
+/// atoms), kSat returns exactly kReference's minimal models. (The test keeps
+/// its name from when it compared against an exact-blocking mode.)
 class ConeBlockingAblationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConeBlockingAblationTest, SameResultsWithoutConeBlocking) {
   std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) * 2862933555777941757ULL + 3);
   testutil::RandomSentenceGenerator gen(&rng, 0.1);
-  for (int trial = 0; trial < 8; ++trial) {
+  constexpr int kTrials = 8;
+  int compared = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
     Database db = testutil::RandomDatabase(&rng);
     Formula sentence = gen.Generate(3);
-    MuOptions with = Strategy(MuStrategy::kSat);
-    MuOptions without = Strategy(MuStrategy::kSat);
-    without.use_cone_blocking = false;
-    StatusOr<Knowledgebase> a = Mu(sentence, db, with);
-    StatusOr<Knowledgebase> b = Mu(sentence, db, without);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(KbAsStrings(*a), KbAsStrings(*b)) << ToString(sentence);
+    StatusOr<Knowledgebase> got = Mu(sentence, db, Strategy(MuStrategy::kSat));
+    ASSERT_TRUE(got.ok()) << got.status() << "\nφ = " << ToString(sentence);
+    StatusOr<Knowledgebase> expected =
+        Mu(sentence, db, Strategy(MuStrategy::kReference));
+    if (!expected.ok()) {
+      // Only the reference's atom cap may decline a case.
+      ASSERT_EQ(expected.status().code(), StatusCode::kResourceExhausted);
+      continue;
+    }
+    EXPECT_EQ(KbAsStrings(*got), KbAsStrings(*expected)) << ToString(sentence);
+    ++compared;
   }
+  // The reference declines no case on these seeds; a floor keeps it that way.
+  EXPECT_EQ(compared, kTrials);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConeBlockingAblationTest, ::testing::Range(0, 10));
@@ -228,21 +240,6 @@ TEST(MuFastPathCrosscheckTest, DatalogMatchesGeneralEngines) {
     Knowledgebase via_sat = *Mu(tc, db, Strategy(MuStrategy::kSat));
     EXPECT_EQ(KbAsStrings(via_datalog), KbAsStrings(*expected));
     EXPECT_EQ(KbAsStrings(via_sat), KbAsStrings(*expected));
-  }
-}
-
-TEST(MuFastPathCrosscheckTest, DatalogNaiveMatchesSeminaive) {
-  std::mt19937_64 rng(777);
-  Formula tc = *ParseFormula(
-      "forall x, y, z: (T(x, y) & E(y, z)) | E(x, z) -> T(x, z)");
-  for (int trial = 0; trial < 5; ++trial) {
-    testutil::Graph g = testutil::RandomGraph(5, 0.3, &rng);
-    Database db = *Database::Create(*Schema::Of({{"E", 2}}),
-                                    {testutil::EdgeRelation(g)});
-    MuOptions semi = Strategy(MuStrategy::kDatalog);
-    MuOptions naive = Strategy(MuStrategy::kDatalog);
-    naive.use_seminaive = false;
-    EXPECT_EQ(KbAsStrings(*Mu(tc, db, semi)), KbAsStrings(*Mu(tc, db, naive)));
   }
 }
 

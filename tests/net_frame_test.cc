@@ -233,7 +233,9 @@ TEST(NetFrameFuzzTest, TruncationsAtEveryLengthAreTypedErrors) {
     ASSERT_TRUE(s.code() == StatusCode::kUnavailable ||
                 s.code() == StatusCode::kDataLoss)
         << "truncation at " << len << ": " << s.ToString();
-    if (len > 0) EXPECT_EQ(s.code(), StatusCode::kDataLoss) << "at " << len;
+    if (len > 0) {
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << "at " << len;
+    }
   }
 }
 

@@ -85,7 +85,9 @@ TEST(OverlayTest, FromDiffIsUniqueRepresentation) {
     WorldOverlay o1 = WorldOverlay::FromDiff(base, w1);
     WorldOverlay o2 = WorldOverlay::FromDiff(base, w2);
     EXPECT_EQ(w1 == w2, o1 == o2);
-    if (o1 == o2) EXPECT_EQ(o1.Hash(), o2.Hash());
+    if (o1 == o2) {
+      EXPECT_EQ(o1.Hash(), o2.Hash());
+    }
   }
 }
 

@@ -99,17 +99,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzzTest, ::testing::Range(0, 15));
 class TrailReusePipelineFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TrailReusePipelineFuzzTest, ReuseOnAndOffProduceIdenticalResults) {
-  // Assumption-trail reuse changes *how* the SAT descent searches (retained
-  // levels, deferred guard retirement, reordered assumptions) but never *what*
-  // μ computes: on randomized pipelines the reuse-on and reuse-off runs must
-  // produce the identical canonical knowledgebase — same minimal-model set,
-  // same final databases — or fail identically.
+  // The SAT descent keeps its assumption trail between solves (retained
+  // levels, deferred guard retirement, prefix-stable assumption order); that
+  // changes *how* it searches but never *what* μ computes. On randomized
+  // pipelines run with every μ forced onto kSat, the result must equal the
+  // run forced onto kReference — the specification enumeration — or fail
+  // identically. Cases whose τ steps exceed the reference's atom cap
+  // (kResourceExhausted from the reference) are skipped. (The test keeps its
+  // name from when it compared trail reuse on against off.)
   std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) * 7477 + 5);
   testutil::RandomSentenceGenerator gen(&rng, 0.15);
   std::uniform_int_distribution<int> step_count(1, 3);
   std::uniform_int_distribution<int> step_kind(0, 2);
+  MuOptions sat_options;
+  sat_options.strategy = MuStrategy::kSat;
+  MuOptions reference_options;
+  reference_options.strategy = MuStrategy::kReference;
+  auto declined = [](const StatusOr<Knowledgebase>& reference) {
+    return !reference.ok() &&
+           reference.status().code() == StatusCode::kResourceExhausted;
+  };
 
-  for (int trial = 0; trial < 4; ++trial) {
+  constexpr int kTrials = 4;
+  int pipelines_compared = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
     Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
     Pipeline pipeline;
     int steps = step_count(rng);
@@ -126,38 +139,41 @@ TEST_P(TrailReusePipelineFuzzTest, ReuseOnAndOffProduceIdenticalResults) {
           break;
       }
     }
-    MuOptions with_reuse;
-    with_reuse.reuse_assumption_trail = true;
-    MuOptions without_reuse;
-    without_reuse.reuse_assumption_trail = false;
-    StatusOr<Knowledgebase> on = pipeline.Apply(kb, with_reuse);
-    StatusOr<Knowledgebase> off = pipeline.Apply(kb, without_reuse);
-    ASSERT_EQ(on.ok(), off.ok()) << pipeline.ToString();
-    if (!on.ok()) {
-      EXPECT_EQ(on.status().code(), off.status().code()) << pipeline.ToString();
+    StatusOr<Knowledgebase> got = pipeline.Apply(kb, sat_options);
+    StatusOr<Knowledgebase> expected = pipeline.Apply(kb, reference_options);
+    if (declined(expected)) continue;
+    ASSERT_EQ(got.ok(), expected.ok()) << pipeline.ToString();
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), expected.status().code())
+          << pipeline.ToString();
       continue;
     }
-    EXPECT_EQ(testutil::KbAsStrings(*on), testutil::KbAsStrings(*off))
+    EXPECT_EQ(testutil::KbAsStrings(*got), testutil::KbAsStrings(*expected))
         << pipeline.ToString();
+    ++pipelines_compared;
   }
 
-  // The same property with the SAT strategy forced, so the descent engine is
-  // exercised even where the auto dispatcher would pick a fast path.
-  for (int trial = 0; trial < 4; ++trial) {
+  // The same property on a single τ over a random kb.
+  int taus_compared = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
     Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
     Formula phi = gen.Generate(2);
-    TauOptions on_options;
-    on_options.mu.strategy = MuStrategy::kSat;
-    on_options.mu.reuse_assumption_trail = true;
-    TauOptions off_options = on_options;
-    off_options.mu.reuse_assumption_trail = false;
-    StatusOr<Knowledgebase> on = Tau(phi, kb, on_options);
-    StatusOr<Knowledgebase> off = Tau(phi, kb, off_options);
-    ASSERT_EQ(on.ok(), off.ok());
-    if (on.ok()) {
-      EXPECT_EQ(testutil::KbAsStrings(*on), testutil::KbAsStrings(*off));
+    StatusOr<Knowledgebase> got = Tau(phi, kb, sat_options);
+    StatusOr<Knowledgebase> expected = Tau(phi, kb, reference_options);
+    if (declined(expected)) continue;
+    ASSERT_EQ(got.ok(), expected.ok()) << ToString(phi);
+    if (got.ok()) {
+      EXPECT_EQ(testutil::KbAsStrings(*got), testutil::KbAsStrings(*expected))
+          << ToString(phi);
+      ++taus_compared;
     }
   }
+  // Floors on the cases actually compared, so a generator or reference-cap
+  // change cannot silently turn the property vacuous: on these seeds at most
+  // one pipeline per seed fails identically on both sides (a filter naming a
+  // relation an earlier step dropped), and every τ succeeds.
+  EXPECT_GE(pipelines_compared, kTrials - 1);
+  EXPECT_EQ(taus_compared, kTrials);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrailReusePipelineFuzzTest,

@@ -1,7 +1,8 @@
 /// \file
 /// The τ executor's determinism contract: for every knowledgebase and sentence,
-/// Tau with threads=N and any cache setting returns a Knowledgebase *equal* to
-/// the sequential result — same canonical member list, bit for bit. Verified on
+/// Tau with threads=N, per-call or borrowed caches, returns a Knowledgebase
+/// *equal* to the sequential result — and, under forced SAT, to the union of
+/// plain per-world μ calls — same canonical member list, bit for bit. Verified on
 /// randomized inputs across strategies (auto dispatch and forced SAT), plus
 /// deterministic error propagation and stats sanity.
 
@@ -11,6 +12,8 @@
 #include <random>
 
 #include "core/kbt.h"
+#include "exec/cnf_cache.h"
+#include "exec/ground_cache.h"
 #include "exec/pool.h"
 #include "testutil.h"
 
@@ -68,46 +71,64 @@ TEST(TauParallelTest, MatchesSequentialOnRandomInputsAutoStrategy) {
   EXPECT_GT(compared, 0);
 }
 
+/// The oracle for forced-SAT τ: a serial union of plain μ(φ, db) per member —
+/// no executor, no shared grounding, no frozen CNF prefix, no pooled solver.
+StatusOr<Knowledgebase> UnionOfPlainMu(const Formula& phi,
+                                       const Knowledgebase& kb,
+                                       const MuOptions& options) {
+  std::vector<Knowledgebase> parts;
+  for (size_t i = 0; i < kb.size(); ++i) {
+    KBT_ASSIGN_OR_RETURN(Knowledgebase part, Mu(phi, kb.World(i), options));
+    parts.push_back(std::move(part));
+  }
+  return Knowledgebase::UnionAll(std::move(parts));
+}
+
 TEST(TauParallelTest, MatchesSequentialForcedSatAcrossCacheAndPrefixModes) {
-  // The bit-identity contract of prefix sharing: for every (kb, φ), τ with the
-  // frozen-CNF-prefix fork on or off — across thread counts and grounding
-  // cache settings — returns the same canonical knowledgebase as the plain
-  // sequential, cacheless run. Forked solvers replay the exact search of
-  // freshly encoded ones, so this holds bit for bit, not just set-equal.
+  // The bit-identity contract of the shared caches: for every (kb, φ), τ —
+  // whose same-domain worlds share one grounding and fork their solvers from
+  // one frozen CNF prefix — returns the same canonical knowledgebase as the
+  // union of plain per-world μ calls, across thread counts and with the
+  // caches either per call or borrowed from the caller. Forked solvers replay
+  // the exact search of freshly encoded ones, so this holds bit for bit, not
+  // just set-equal. (The test keeps its name from when the caches had off
+  // switches.)
   std::mt19937_64 rng(77);
   RandomSentenceGenerator gen(&rng, /*new_relation_prob=*/0.4);
-  for (int iter = 0; iter < 20; ++iter) {
+  MuOptions sat;
+  sat.strategy = MuStrategy::kSat;
+  constexpr int kIters = 20;
+  int compared = 0;
+  for (int iter = 0; iter < kIters; ++iter) {
     Knowledgebase kb = RandomWideKb(&rng, 3, 6);
     Formula phi = gen.Generate(2);
-
-    TauOptions seq_nocache;
-    seq_nocache.mu.strategy = MuStrategy::kSat;
-    seq_nocache.threads = 1;
-    seq_nocache.use_ground_cache = false;
-    seq_nocache.use_cnf_prefix = false;
-    StatusOr<Knowledgebase> expected = Tau(phi, kb, seq_nocache);
+    StatusOr<Knowledgebase> expected = UnionOfPlainMu(phi, kb, sat);
 
     for (size_t threads : {1u, 4u}) {
-      for (bool cache : {false, true}) {
-        for (bool prefix : {false, true}) {
-          TauOptions par;
-          par.mu.strategy = MuStrategy::kSat;
-          par.threads = threads;
-          par.use_ground_cache = cache;
-          par.use_cnf_prefix = prefix;
-          StatusOr<Knowledgebase> got = Tau(phi, kb, par);
-          ASSERT_EQ(expected.ok(), got.ok())
-              << "iter " << iter << " threads " << threads << " cache " << cache
-              << " prefix " << prefix;
-          if (expected.ok()) {
-            EXPECT_EQ(*expected, *got)
-                << "iter " << iter << " threads " << threads << " cache "
-                << cache << " prefix " << prefix;
-          }
+      for (bool borrowed : {false, true}) {
+        exec::GroundingCache ground_cache;
+        exec::CnfCache cnf_cache;
+        TauOptions par;
+        par.mu = sat;
+        par.threads = threads;
+        if (borrowed) {
+          par.ground_cache = &ground_cache;
+          par.cnf_cache = &cnf_cache;
+        }
+        StatusOr<Knowledgebase> got = Tau(phi, kb, par);
+        ASSERT_EQ(expected.ok(), got.ok())
+            << "iter " << iter << " threads " << threads << " borrowed "
+            << borrowed;
+        if (expected.ok()) {
+          EXPECT_EQ(*expected, *got) << "iter " << iter << " threads "
+                                     << threads << " borrowed " << borrowed;
+          ++compared;
         }
       }
     }
   }
+  // Every iteration succeeds in all four modes; a floor keeps it that way.
+  EXPECT_EQ(compared, kIters * 4);
 }
 
 TEST(TauParallelTest, SharedDomainWorldsHitTheCache) {
@@ -135,27 +156,23 @@ TEST(TauParallelTest, SharedDomainWorldsHitTheCache) {
   EXPECT_EQ(stats.ground_cache_hits, 0u);
   EXPECT_EQ(stats.threads_used, 2u);
 
-  // With prefix sharing off, the per-world encodings fall back to the shared
-  // grounding: size-1 grounding-cache hits instead.
-  TauOptions noprefix = options;
-  noprefix.use_cnf_prefix = false;
-  TauStats noprefix_stats;
-  StatusOr<Knowledgebase> noprefix_result = Tau(phi, kb, noprefix, &noprefix_stats);
-  ASSERT_TRUE(noprefix_result.ok()) << noprefix_result.status();
-  EXPECT_EQ(noprefix_stats.ground_cache_misses, 1u);
-  EXPECT_EQ(noprefix_stats.ground_cache_hits, worlds - 1);
-  EXPECT_EQ(noprefix_stats.cnf_cache_hits, 0u);
-  EXPECT_EQ(noprefix_stats.cnf_cache_misses, 0u);
-  EXPECT_EQ(*noprefix_result, *result);
-
-  // And the cached run agrees with the uncached sequential one.
-  TauOptions plain;
-  plain.mu.strategy = MuStrategy::kSat;
-  plain.use_ground_cache = false;
-  plain.use_cnf_prefix = false;
-  StatusOr<Knowledgebase> expected = Tau(phi, kb, plain);
+  // The cached run agrees with the union of plain per-world μ calls.
+  StatusOr<Knowledgebase> expected = UnionOfPlainMu(phi, kb, options.mu);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(*expected, *result);
+
+  // A singleton kb would encode once either way, so it skips the prefix
+  // snapshot: its one world takes the direct encode path on the grounding
+  // cache, and still matches plain μ.
+  Knowledgebase one = *Knowledgebase::FromDatabases({kb.World(0)});
+  TauStats one_stats;
+  StatusOr<Knowledgebase> one_result = Tau(phi, one, options, &one_stats);
+  ASSERT_TRUE(one_result.ok()) << one_result.status();
+  EXPECT_EQ(one_stats.cnf_cache_hits + one_stats.cnf_cache_misses, 0u);
+  EXPECT_EQ(one_stats.ground_cache_misses, 1u);
+  StatusOr<Knowledgebase> one_expected = UnionOfPlainMu(phi, one, options.mu);
+  ASSERT_TRUE(one_expected.ok());
+  EXPECT_EQ(*one_expected, *one_result);
 }
 
 TEST(TauParallelTest, WorldScratchPoolReusedAcrossManyWorldsAndThreads) {

@@ -125,7 +125,9 @@ TEST(WorldsetPropertyTest, TransformsAgreeAcrossConstructions) {
     StatusOr<bool> sat_flat = KbSatisfies(kbs.flat, phi);
     StatusOr<bool> sat_overlay = KbSatisfies(kbs.overlayed, phi);
     ASSERT_EQ(sat_flat.ok(), sat_overlay.ok());
-    if (sat_flat.ok()) ASSERT_EQ(*sat_flat, *sat_overlay);
+    if (sat_flat.ok()) {
+      ASSERT_EQ(*sat_flat, *sat_overlay);
+    }
 
     // τ across strategies (auto dispatch and forced SAT), sequential and
     // 4-way parallel: equal inputs give equal canonical outputs.
@@ -162,7 +164,9 @@ TEST(WorldsetPropertyTest, MuAgreesOnSingletonConstructions) {
     StatusOr<Knowledgebase> a = Mu(phi, edited);
     StatusOr<Knowledgebase> b = Mu(phi, via_overlay);
     ASSERT_EQ(a.ok(), b.ok()) << "trial " << trial;
-    if (a.ok()) ASSERT_EQ(*a, *b) << "trial " << trial;
+    if (a.ok()) {
+      ASSERT_EQ(*a, *b) << "trial " << trial;
+    }
   }
 }
 
