@@ -17,6 +17,10 @@
 ///    (old-relation symmetric differences first, then new-relation contents) and
 ///    cone-blocking clauses. The descent orders its assumptions so the
 ///    solver's trail saving re-propagates only what changes between steps.
+///    A root conjunction whose conjuncts fall into atom-disjoint groups is
+///    solved per group — μ is then the product of the groups' minimal-model
+///    sets — and each group's models are memoized by the world content they
+///    depend on (exec/cnf_cache.h).
 ///  * kDatalog — Theorem 4.8: φ is a conjunction of universally closed Horn clauses
 ///    whose head predicates are new; μ is the singleton {db ∪ lfp(P)} computed by
 ///    semi-naive evaluation.

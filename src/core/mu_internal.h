@@ -72,6 +72,10 @@ struct MuExecContext {
   /// context performs the validation these skip.
   const Schema* extended_schema = nullptr;
   const std::vector<Value>* formula_constants = nullptr;
+  /// db.ActiveDomain() of the world being updated, when the τ executor has
+  /// already computed it (it needs it for the split check too); null → μ
+  /// computes it. Only read alongside the two fields above.
+  const std::vector<Value>* active_domain = nullptr;
   /// φ split as core ∧ ground literals (logic/analysis.h), with the caches
   /// above holding the *core*: the SAT strategy grounds and encodes the core
   /// and adds the literals on top; every other strategy evaluates φ without
@@ -90,14 +94,6 @@ StatusOr<TauStrategyPlan> PlanTauStrategies(const Formula& sentence,
 StatusOr<Knowledgebase> MuExec(const Formula& sentence, const Database& db,
                                const MuOptions& options, MuStats* stats,
                                const MuExecContext& exec);
-
-/// Grounds `sentence` over `domain` through the executor's cache when present,
-/// or locally (wrapped in the same immutable CachedGrounding shape) otherwise.
-/// Both grounding strategies go through this, so the cached mentioned-variable
-/// set is always borrowed, never re-collected or copied per world.
-StatusOr<std::shared_ptr<const exec::CachedGrounding>> ObtainGrounding(
-    const MuExecContext& exec, const Formula& sentence,
-    const std::vector<Value>& domain, const GrounderOptions& options);
 
 /// Reference (specification) enumeration. Fails with kResourceExhausted when more
 /// than options.max_reference_atoms ground atoms are mentioned.

@@ -56,8 +56,11 @@ StatusOr<Knowledgebase> MuReference(const Formula& sentence, const Database& db,
   gopts.max_nodes = options.max_ground_nodes;
   // Same-domain worlds share one grounding (the circuit is read-only here);
   // ground updates over a τ fan-out hit this path via kAuto.
-  KBT_ASSIGN_OR_RETURN(std::shared_ptr<const exec::CachedGrounding> shared,
-                       ObtainGrounding(exec, sentence, ctx.domain, gopts));
+  KBT_ASSIGN_OR_RETURN(
+      std::shared_ptr<const exec::CachedGrounding> shared,
+      exec.ground_cache != nullptr
+          ? exec.ground_cache->GetOrGround(sentence, ctx.domain, gopts)
+          : exec::MakeCachedGrounding(sentence, ctx.domain, gopts));
   const Grounding& g = shared->grounding;
   const std::vector<int>& vars = shared->mentioned;
   stats->ground_nodes = g.circuit.size();

@@ -89,50 +89,6 @@ StatusOr<Closeness> CompareCloseness(const Database& db1, const Database& db2,
   return new_cmp.Result();
 }
 
-Closeness CompareClosenessOverlays(const WorldOverlay& a, const WorldOverlay& b,
-                                   size_t old_schema_size) {
-  // Merged walk over the two sorted delta lists; positions untouched by both
-  // overlays contribute equal components and drop out.
-  const std::vector<RelationDelta>& da = a.deltas();
-  const std::vector<RelationDelta>& db = b.deltas();
-  VectorCmp old_cmp;
-  VectorCmp new_cmp;
-  size_t i = 0, j = 0;
-  while (i < da.size() || j < db.size()) {
-    uint32_t pos;
-    const RelationDelta* ra = nullptr;
-    const RelationDelta* rb = nullptr;
-    if (i < da.size() && (j >= db.size() || da[i].pos <= db[j].pos)) {
-      pos = da[i].pos;
-      ra = &da[i++];
-      if (j < db.size() && db[j].pos == pos) rb = &db[j++];
-    } else {
-      pos = db[j].pos;
-      rb = &db[j++];
-    }
-    size_t arity = ra != nullptr ? ra->adds.arity() : rb->adds.arity();
-    const Relation empty(arity);
-    const Relation& aa = ra != nullptr ? ra->adds : empty;
-    const Relation& ad = ra != nullptr ? ra->dels : empty;
-    const Relation& ba = rb != nullptr ? rb->adds : empty;
-    const Relation& bd = rb != nullptr ? rb->dels : empty;
-    if (pos < old_schema_size) {
-      // Δ inclusion over the disjoint union adds ⊎ dels is componentwise
-      // inclusion of both parts; feeding the parts separately into the stage 1
-      // accumulator yields the same all-⊆/some-strict verdict.
-      old_cmp.Add(CompareSets(aa, ba));
-      old_cmp.Add(CompareSets(ad, bd));
-    } else {
-      // New relation: the extended base is empty here, dels are empty by the
-      // canonical invariant, and the world's content is the adds.
-      new_cmp.Add(CompareSets(aa, ba));
-    }
-  }
-  Closeness stage1 = old_cmp.Result();
-  if (stage1 != Closeness::kEqual) return stage1;
-  return new_cmp.Result();
-}
-
 StatusOr<bool> CloserOrEqual(const Database& db1, const Database& db2,
                              const Database& base) {
   KBT_ASSIGN_OR_RETURN(Closeness c, CompareCloseness(db1, db2, base));

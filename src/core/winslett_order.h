@@ -21,7 +21,6 @@
 
 #include "base/status.h"
 #include "rel/database.h"
-#include "rel/overlay.h"
 
 namespace kbt {
 
@@ -44,22 +43,6 @@ StatusOr<bool> CloserOrEqual(const Database& db1, const Database& db2,
 /// db1 <_base db2 (strict).
 StatusOr<bool> StrictlyCloser(const Database& db1, const Database& db2,
                               const Database& base);
-
-/// Closeness comparison computed directly on candidate overlays, without
-/// materializing either candidate. Both overlays must be canonical relative to
-/// base.ExtendTo(s) for the common candidate schema s, where σ(base) is a
-/// positional prefix of s (schema extension appends declarations, so this is
-/// how every μ update context is laid out); `old_schema_size` = |σ(base)|.
-///
-/// Then for an old position p the deviation Δ(cand, r_p) = cand_p Δ base_p is
-/// exactly adds_p ⊎ dels_p (adds land outside the base relation, dels inside),
-/// so stage 1's Δ-inclusions reduce to componentwise inclusions of the delta
-/// relations; for a new position the extended base relation is empty, dels are
-/// empty by the invariant, and stage 2's inclusion is adds_p ⊆ adds'_p. The
-/// result equals CompareCloseness on the materialized candidates
-/// (property-tested) at O(delta) cost.
-Closeness CompareClosenessOverlays(const WorldOverlay& a, const WorldOverlay& b,
-                                   size_t old_schema_size);
 
 /// The db-minimal elements of `candidates` (pairwise comparison): every candidate
 /// with no strictly closer candidate in the list. Duplicates are collapsed first.

@@ -68,9 +68,14 @@ TEST(CnfCacheTest, MatchesDirectEncoding) {
   sat::TseitinEncoder encoder(&direct->circuit, &solver);
   encoder.Assert(direct->root);
 
-  EXPECT_EQ(cnf.prefix.num_vars(), solver.num_vars());
-  EXPECT_EQ(cnf.prefix.num_clauses(), solver.num_clauses());
-  EXPECT_EQ(cnf.prefix.arena_words(), solver.arena_words());
+  // Every ground conjunct shares an S atom with another, so the root does not
+  // split: one component holding the whole root's encoding.
+  ASSERT_EQ(cnf.components.size(), 1u);
+  const sat::Solver::Frozen& prefix = cnf.components[0].prefix;
+  EXPECT_EQ(prefix.num_vars(), solver.num_vars());
+  EXPECT_EQ(prefix.num_clauses(), solver.num_clauses());
+  EXPECT_EQ(prefix.arena_words(), solver.arena_words());
+  EXPECT_EQ(cnf.components[0].atoms, cnf.grounding->mentioned);
   ASSERT_EQ(cnf.atom_var.size(), direct->atoms.size());
   for (int atom_id : cnf.grounding->mentioned) {
     EXPECT_EQ(cnf.atom_var[static_cast<size_t>(atom_id)],
@@ -101,7 +106,7 @@ TEST(CnfCacheTest, SharesGroundingThroughGroundCache) {
 
 TEST(CnfCacheTest, FalseRootSkipsEncoding) {
   // A sentence grounding to ⊥ (distinct constants never compare equal) never
-  // reaches a solver; the cached prefix stays empty and lookups still hit.
+  // reaches a solver; the entry has no component to encode.
   Formula phi = *ParseSentence("R(a) & a = b");
   CnfCache cache;
   GrounderOptions opts;
@@ -109,8 +114,7 @@ TEST(CnfCacheTest, FalseRootSkipsEncoding) {
   ASSERT_TRUE(cnf.ok());
   const Grounding& g = (*cnf)->grounding->grounding;
   EXPECT_EQ(g.root, g.circuit.FalseNode());
-  EXPECT_EQ((*cnf)->prefix.num_vars(), 0);
-  EXPECT_EQ((*cnf)->prefix.num_clauses(), 0u);
+  EXPECT_TRUE((*cnf)->components.empty());
 }
 
 TEST(CnfCacheTest, BudgetErrorIsCachedPerDomain) {
