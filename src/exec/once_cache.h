@@ -118,6 +118,18 @@ class DomainKeyedOnceCache {
     return map_.size();
   }
 
+  /// Calls fn(value) on every completed entry. `fn` must not lock this cache.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [key, entry] : map_) {
+      if (entry->done.load(std::memory_order_acquire) && entry->status.ok() &&
+          entry->value != nullptr) {
+        fn(*entry->value);
+      }
+    }
+  }
+
   /// Estimated bytes held by completed entries, as Σ cost(value). Entries
   /// still computing (or that failed) count zero. `cost` must not lock this
   /// cache.

@@ -10,7 +10,17 @@ Var TseitinEncoder::VarForAtom(int var_id) {
   if (var_of_atom_[idx] != kNoVar) return var_of_atom_[idx];
   Var v = solver_->NewVar();
   var_of_atom_[idx] = v;
+  mapped_atoms_.push_back(var_id);
   return v;
+}
+
+void TseitinEncoder::Restart(Solver* solver) {
+  for (int id : encoded_) lit_of_[static_cast<size_t>(id)] = kUnencoded;
+  for (int a : mapped_atoms_) var_of_atom_[static_cast<size_t>(a)] = kNoVar;
+  encoded_.clear();
+  mapped_atoms_.clear();
+  const_true_ = kNoVar;
+  solver_ = solver;
 }
 
 Lit TseitinEncoder::LitFor(int node_id) {
@@ -40,13 +50,13 @@ Lit TseitinEncoder::LitFor(int node_id) {
           solver_->AddClause({MkLit(const_true_)});
         }
         lit_of_[idx] = n.var == 1 ? MkLit(const_true_) : MkLit(const_true_, true);
-        ++encoded_nodes_;
+        encoded_.push_back(id);
         dfs_.pop_back();
         break;
       }
       case Circuit::NodeKind::kVar:
         lit_of_[idx] = MkLit(VarForAtom(n.var));
-        ++encoded_nodes_;
+        encoded_.push_back(id);
         dfs_.pop_back();
         break;
       case Circuit::NodeKind::kNot: {
@@ -56,7 +66,7 @@ Lit TseitinEncoder::LitFor(int node_id) {
           break;
         }
         lit_of_[idx] = Negate(c);
-        ++encoded_nodes_;
+        encoded_.push_back(id);
         dfs_.pop_back();
         break;
       }
@@ -97,7 +107,7 @@ Lit TseitinEncoder::LitFor(int node_id) {
         }
         solver_->AddClause(clause_tmp_);
         lit_of_[idx] = lit;
-        ++encoded_nodes_;
+        encoded_.push_back(id);
         dfs_.pop_back();
         break;
       }

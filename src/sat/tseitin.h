@@ -46,7 +46,15 @@ class TseitinEncoder {
   void Assert(int node_id);
 
   /// Number of circuit nodes encoded so far.
-  size_t encoded_nodes() const { return encoded_nodes_; }
+  size_t encoded_nodes() const { return encoded_.size(); }
+  /// Ids of the nodes encoded so far, in encoding order.
+  const std::vector<int>& encoded_node_ids() const { return encoded_; }
+
+  /// Starts over on `solver` exactly as a new encoder over the same circuit
+  /// would, but resets only the table entries this encoder set, so encoding
+  /// many small subcircuits of one large circuit in turn costs their size,
+  /// not the circuit's.
+  void Restart(Solver* solver);
 
   /// The dense node-id → literal table (kUnencoded = -1 for nodes not yet
   /// encoded). Borrowed; valid until the next LitFor/Assert call. The μ
@@ -66,7 +74,9 @@ class TseitinEncoder {
   std::vector<Lit> lit_of_;
   /// Dense atom-id → solver-var table (kNoVar until created).
   std::vector<Var> var_of_atom_;
-  size_t encoded_nodes_ = 0;
+  /// Nodes with a literal and atoms with a variable, for Restart.
+  std::vector<int> encoded_;
+  std::vector<int> mapped_atoms_;
   Var const_true_ = kNoVar;
 
   std::vector<int> dfs_;          ///< Explicit DFS stack (no recursion).

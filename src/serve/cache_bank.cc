@@ -34,9 +34,18 @@ StatusOr<BankedSentence> QueryCacheBank::Get(std::string_view sentence_text) {
     // Budget check on the hot entry: ApproxBytes walks the entry's domain
     // maps (their own locks; never held while this bank lock is taken
     // elsewhere, so the order bank → cache is acyclic). Over budget, the
-    // entry is dropped and rebuilt fresh — in-flight borrowers keep theirs.
-    if (entry_byte_budget_ > 0 &&
-        it->second.caches->ApproxBytes() > entry_byte_budget_) {
+    // model memos go first — they are the only part that grows after a
+    // build, and rebuilding them costs searches, not a re-grounding. Still
+    // over, the entry is dropped and rebuilt fresh — in-flight borrowers keep
+    // theirs.
+    bool over = entry_byte_budget_ > 0 &&
+                it->second.caches->ApproxBytes() > entry_byte_budget_;
+    if (over) {
+      ++memo_clears_;
+      it->second.caches->cnf.ClearMemos();
+      over = it->second.caches->ApproxBytes() > entry_byte_budget_;
+    }
+    if (over) {
       ++budget_evictions_;
       evicted = std::move(it->second.caches);
       lru_.erase(it->second.lru_pos);
@@ -87,6 +96,11 @@ size_t QueryCacheBank::entries() const {
 uint64_t QueryCacheBank::budget_evictions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return budget_evictions_;
+}
+
+uint64_t QueryCacheBank::memo_clears() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return memo_clears_;
 }
 
 }  // namespace kbt::serve

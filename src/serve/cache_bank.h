@@ -30,9 +30,10 @@
 /// by active domain — a workload whose domain churns (every commit growing
 /// the domain) makes each read a fresh key, so unbounded per-sentence caches
 /// grow linearly with commits. `entry_max_domains` caps the domains inside a
-/// sentence's caches (LRU), and `entry_byte_budget` evicts the whole
-/// sentence entry when its memory estimate exceeds the budget — the next
-/// request rebuilds it fresh. Entries are handed out as shared_ptr, so
+/// sentence's caches (LRU), and `entry_byte_budget` bounds the entry's
+/// memory estimate: over budget, the entry's model memos are cleared first
+/// (read traffic with varied literals grows them), and an entry still over
+/// budget is evicted whole — the next request rebuilds it fresh. Entries are handed out as shared_ptr, so
 /// eviction never invalidates a request in flight.
 
 #include <cstdint>
@@ -99,6 +100,9 @@ class QueryCacheBank {
   size_t entries() const;
   /// Sentence entries evicted because their caches outgrew the byte budget.
   uint64_t budget_evictions() const;
+  /// Times an entry over the byte budget had its model memos cleared first
+  /// (exec::CnfCache::ClearMemos), whether or not it was then evicted.
+  uint64_t memo_clears() const;
 
  private:
   struct Slot {
@@ -116,6 +120,7 @@ class QueryCacheBank {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t budget_evictions_ = 0;
+  uint64_t memo_clears_ = 0;
 };
 
 }  // namespace kbt::serve

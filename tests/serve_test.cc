@@ -506,6 +506,63 @@ TEST(QueryCacheBankTest, FreshConstantLiteralsLeaveTheCoreEntryOneDomain) {
   EXPECT_EQ(core->cnf.entries(), 1u);
 }
 
+/// Read traffic with varied literals grows an entry's model memos, and only
+/// them. With a byte budget just above the entry's size after its build, the
+/// bank must clear the memos when they push the entry over, not evict the
+/// entry and re-ground: 240 distinct orient reads keep one entry (the same
+/// object throughout), answer as the uncached evaluation does, and never
+/// trip a budget eviction.
+TEST(QueryCacheBankTest, MemoGrowthClearsMemosInsteadOfEvictingTheEntry) {
+  std::mt19937_64 rng(777);
+  Knowledgebase kb = testutil::DeltaKb(&rng);
+  TauOptions options;
+  options.threads = 1;
+  auto read = [&](QueryCacheBank* bank, const std::string& literal,
+                  std::shared_ptr<SentenceCaches>* caches) -> StatusOr<bool> {
+    KBT_ASSIGN_OR_RETURN(
+        BankedSentence entry,
+        bank->Get(std::string(testutil::kOrient) + " & " + literal));
+    *caches = entry.caches;
+    ChainStep banked{&entry.sentence, &entry.caches->ground,
+                     &entry.caches->cnf, &*entry.split};
+    Formula consequent = *ParseSentence(testutil::DeltaLiteral(&rng));
+    KBT_ASSIGN_OR_RETURN(bool served,
+                         NestedCounterfactualExec(kb, {banked}, consequent,
+                                                  Modality::kPossibly, options));
+    ChainStep plain{&entry.sentence};
+    KBT_ASSIGN_OR_RETURN(bool expected,
+                         NestedCounterfactualExec(kb, {plain}, consequent,
+                                                  Modality::kPossibly, options));
+    EXPECT_EQ(served, expected) << literal << " > " << ToString(consequent);
+    return served;
+  };
+
+  // The entry's size right after its build: one read, memos dropped.
+  QueryCacheBank probe;
+  std::shared_ptr<SentenceCaches> built;
+  ASSERT_TRUE(read(&probe, "P(n0)", &built).ok());
+  built->cnf.ClearMemos();
+  const size_t fixed_bytes = built->ApproxBytes();
+  ASSERT_GT(fixed_bytes, 0u);
+
+  QueryCacheBank bank(/*capacity=*/4, /*entry_byte_budget=*/fixed_bytes + 1024);
+  std::shared_ptr<SentenceCaches> first;
+  std::set<std::string> literals;
+  while (literals.size() < 240) {
+    std::string literal = testutil::DeltaLiteral(&rng) + " & " +
+                          testutil::DeltaLiteral(&rng);
+    if (!literals.insert(literal).second) continue;
+    std::shared_ptr<SentenceCaches> caches;
+    auto served = read(&bank, literal, &caches);
+    ASSERT_TRUE(served.ok()) << served.status().message();
+    if (first == nullptr) first = caches;
+    ASSERT_EQ(caches, first) << "entry rebuilt at read " << literals.size();
+  }
+  EXPECT_EQ(bank.budget_evictions(), 0u);
+  EXPECT_GT(bank.memo_clears(), 0u);
+  EXPECT_EQ(bank.misses(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Batching
 
