@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -35,6 +36,7 @@ namespace kbt::internal {
 
 struct DatalogPlan;
 struct DefinitionalPlan;
+class WorldDeltaBase;
 
 /// kAuto strategy dispatch, resolved once per τ call. PlanDatalog and
 /// PlanDefinitional read the database only through its schema, and all members
@@ -73,14 +75,18 @@ struct MuExecContext {
   const Schema* extended_schema = nullptr;
   const std::vector<Value>* formula_constants = nullptr;
   /// db.ActiveDomain() of the world being updated, when the τ executor has
-  /// already computed it (it needs it for the split check too); null → μ
-  /// computes it. Only read alongside the two fields above.
+  /// already derived it (from its overlay, for the split check too); null →
+  /// μ computes it. Only read alongside the two fields above.
   const std::vector<Value>* active_domain = nullptr;
   /// φ split as core ∧ ground literals (logic/analysis.h), with the caches
   /// above holding the *core*: the SAT strategy grounds and encodes the core
   /// and adds the literals on top; every other strategy evaluates φ without
   /// the caches. Schema, constants and plan still come from φ (see TauExec).
   const GroundLiteralSplit* split = nullptr;
+  /// The τ call's delta base: its shared input base extended to
+  /// σ(kb) ∪ σ(φ), of which every world is an overlay. MuSatWorld updates a
+  /// world through it without materializing the world; null outside τ.
+  WorldDeltaBase* delta = nullptr;
 };
 
 /// Resolves the kAuto dispatch of `sentence` against the schema of `probe`
@@ -107,6 +113,92 @@ StatusOr<Knowledgebase> MuSat(const Formula& sentence, const Database& db,
                               const UpdateContext& ctx, const MuOptions& options,
                               MuStats* stats,
                               const MuExecContext& exec = MuExecContext());
+
+/// μ/SAT of the world `world` of exec.delta's base — τ's delta world step.
+/// The world is never materialized: its domain is *exec.active_domain ∪
+/// *exec.formula_constants, its default bytes are the base's with the atoms
+/// its delta names patched (PatchWorldDefaults), and each minimal model's
+/// overlay is written from the model's deviations. The result is anchored
+/// at the delta base's extended base and equals MuSat over the materialized
+/// world (property-tested in tests/world_delta_test.cc).
+StatusOr<Knowledgebase> MuSatWorld(const Formula& sentence,
+                                   const WorldOverlay& world,
+                                   const MuOptions& options, MuStats* stats,
+                                   const MuExecContext& exec);
+
+/// Per-atom memo-key byte of μ/SAT (exec::ModelMemo): the atom's old/new flag
+/// and default value, and the ground-literal unit on it, if any.
+inline constexpr int8_t kAtomOld = 1;
+inline constexpr int8_t kAtomDefaultTrue = 2;
+inline constexpr int8_t kAtomUnit = 4;
+inline constexpr int8_t kAtomUnitTrue = 8;
+
+/// What μ/SAT derives once per (τ call, CNF entry) from the call's shared
+/// base and ground literals. Every world of the call starts from these bytes
+/// and patches only the atoms its delta names.
+struct EntryDefaults {
+  /// The entry (held so its address keys WorldDeltaBase for the call).
+  std::shared_ptr<const exec::FrozenCnf> entry;
+  /// entry->relations[i] → its position in the extended schema.
+  std::vector<uint32_t> relation_pos;
+  /// Atom id → memo-key byte in the base world: kAtomOld and
+  /// kAtomDefaultTrue for mentioned atoms, the unit bits for literal atoms.
+  std::vector<int8_t> atom_state;
+  /// Mentioned atoms a literal fixes, one entry per literal, in order.
+  std::vector<int> unit_atoms;
+  /// A literal on an atom the grounding does not mention: every minimal
+  /// model takes its value there.
+  struct FreeAtom {
+    uint32_t pos = 0;
+    Tuple tuple;
+    bool value = false;
+  };
+  /// Distinct free atoms, sorted by (pos, tuple).
+  std::vector<FreeAtom> free_atoms;
+  /// Two literals disagree on one atom: μ has no models.
+  bool contradictory = false;
+};
+
+/// Builds `entry`'s EntryDefaults against `ext_base`, whose first
+/// `old_relations` schema positions are σ(db). Fails with kNotFound when an
+/// atom's relation is not in ext_base's schema.
+StatusOr<std::shared_ptr<const EntryDefaults>> MakeEntryDefaults(
+    std::shared_ptr<const exec::FrozenCnf> entry, const Database& ext_base,
+    size_t old_relations, const std::vector<Formula>& literals);
+
+/// Sets kAtomDefaultTrue in `atom_state` (an EntryDefaults' base bytes) to
+/// the world's value for every mentioned atom of `entry` that the world
+/// `overlay` of `ext_base` adds or deletes, appending those atoms to
+/// `patched`. Afterwards the default bits equal a full sweep of the
+/// materialized world. O(delta).
+void PatchWorldDefaults(const exec::FrozenCnf& entry, const Database& ext_base,
+                        const WorldOverlay& overlay,
+                        std::vector<int8_t>* atom_state,
+                        std::vector<int>* patched);
+
+/// The base every world of one τ call is an overlay of, extended to
+/// σ(kb) ∪ σ(φ), plus the EntryDefaults built against it. Shared by the
+/// call's workers; Defaults is thread-safe.
+class WorldDeltaBase {
+ public:
+  /// `ext_base`'s first `old_relations` positions are σ(kb).
+  WorldDeltaBase(std::shared_ptr<const Database> ext_base, size_t old_relations)
+      : ext_base_(std::move(ext_base)), old_relations_(old_relations) {}
+
+  const std::shared_ptr<const Database>& ext_base() const { return ext_base_; }
+
+  /// `entry`'s defaults under `literals` (the same on every call of one
+  /// base), built on first use.
+  StatusOr<std::shared_ptr<const EntryDefaults>> Defaults(
+      const std::shared_ptr<const exec::FrozenCnf>& entry,
+      const std::vector<Formula>& literals);
+
+ private:
+  std::shared_ptr<const Database> ext_base_;
+  size_t old_relations_;
+  std::mutex mu_;
+  std::vector<std::shared_ptr<const EntryDefaults>> built_;
+};
 
 /// Datalog fast path plan: the extracted program (all head predicates new w.r.t.
 /// σ(db)). nullopt when φ is not of this shape.
@@ -145,7 +237,7 @@ inline bool IsOldAtom(const GroundAtom& atom, const Database& db) {
 /// ctx.schema, starting from ctx.extended_base and deviating only on the listed
 /// atoms. The specification-shaped path: per call it groups deviations in a map
 /// and rebuilds each touched relation through Union/Difference. Kept as the
-/// reference ModelMaterializer is property-tested against; enumeration loops use
+/// reference ModelMaterializer is property-tested against; MuReference uses
 /// the materializer.
 StatusOr<Database> MaterializeModel(
     const UpdateContext& ctx, const AtomIndex& atoms,
@@ -155,25 +247,22 @@ StatusOr<Database> MaterializeModel(
 /// MaterializeModel's overlay twin: the same assignment expressed as a
 /// canonical WorldOverlay against ctx.extended_base (adds = atoms wanted true
 /// but absent, dels = atoms wanted false but present) instead of a flattened
-/// database — what the μ strategies hand the τ merge so no model is ever
-/// materialized flat. ApplyTo(ctx.extended_base) equals MaterializeModel's
-/// result (property-tested).
+/// database. ApplyTo(ctx.extended_base) equals MaterializeModel's result, and
+/// the μ/SAT enumerator's deviation overlays equal it (both property-tested).
 StatusOr<WorldOverlay> MaterializeOverlayModel(
     const UpdateContext& ctx, const AtomIndex& atoms,
     const std::vector<int>& mentioned_atom_ids,
     const std::function<bool(int)>& atom_value);
 
 /// Delta-encoded model materialization for enumeration loops that build many
-/// databases against one base. Construction (once per μ call — lazily, on the
-/// second enumerated model, since a single-model run never amortizes it)
+/// databases against one base (MuReference). Construction (once per μ call)
 /// groups the mentioned atoms by relation, sorts each group in tuple order and
 /// precomputes each atom's presence in ctx.extended_base; Materialize (once
 /// per enumerated model) then applies the per-model deltas with a single
 /// three-way merge per touched relation — no per-model map, no membership
-/// probes, and no Union+Difference double rebuild. All storage is flat, so a
-/// default-constructed materializer parked in a per-worker WorldScratch is
-/// Rebuilt in place world after world with warm buffers. Borrows the ctx and
-/// atoms passed to Rebuild; both must outlive the next Rebuild.
+/// probes, and no Union+Difference double rebuild. All storage is flat, so
+/// one materializer can be Rebuilt in place with warm buffers. Borrows the
+/// ctx and atoms passed to Rebuild; both must outlive the next Rebuild.
 class ModelMaterializer {
  public:
   ModelMaterializer() = default;

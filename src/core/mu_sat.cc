@@ -1,7 +1,7 @@
 #include <algorithm>
-#include <functional>
+#include <iterator>
 #include <memory>
-#include <numeric>
+#include <optional>
 #include <string>
 
 #include "core/mu_internal.h"
@@ -44,18 +44,10 @@ bool StrictlyCloser(const FoundModel& m, const FoundModel& c) {
   return strict_subset(m.true_new, c.true_new);
 }
 
-/// Per-atom memo-key byte (exec::ModelMemo): the atom's old/new flag and
-/// default value, and the ground-literal unit on it, if any.
-constexpr int8_t kOld = 1;
-constexpr int8_t kDefaultTrue = 2;
-constexpr int8_t kUnit = 4;
-constexpr int8_t kUnitTrue = 8;
-
-/// The μ/SAT enumerator parks its materializer — and thereby the group/merge
-/// buffers inside it — in the per-worker WorldScratch between worlds.
-struct MaterializerSlot : exec::WorldScratch::Attachment {
-  ModelMaterializer materializer;
-};
+constexpr int8_t kOld = kAtomOld;
+constexpr int8_t kDefaultTrue = kAtomDefaultTrue;
+constexpr int8_t kUnit = kAtomUnit;
+constexpr int8_t kUnitTrue = kAtomUnitTrue;
 
 /// The CDCL enumeration engine. μ of a conjunction of atom-disjoint
 /// components is the product of the components' minimal-model sets
@@ -65,85 +57,73 @@ struct MaterializerSlot : exec::WorldScratch::Attachment {
 /// prefix into one solver, where the minimization descent pushes
 /// activation-guarded constraints and the enumeration pushes blocking
 /// clauses into the same clause arena, and nothing is ground or encoded
-/// twice. Per-world tables and loop scratch live in a WorldScratch — the
+/// twice.
+///
+/// The world is an overlay of the delta base's extended base (for a plain
+/// call, the identity overlay of the extended db), and everything the
+/// enumerator reads of it comes from that delta: its default bytes are the
+/// base's (EntryDefaults, once per call and entry) patched at the atoms the
+/// delta names, the circuit is re-evaluated on the cone of those atoms, and
+/// each product model's overlay is the world's overlay edited at the model's
+/// deviations. Per-world tables and loop scratch live in a WorldScratch — the
 /// executor's per-worker pool when provided, a local one otherwise — so
-/// consecutive worlds on one worker reuse warm buffers instead of
-/// reallocating ~15 vectors per world.
+/// consecutive worlds on one worker reuse warm buffers.
 class SatEnumerator {
  public:
-  SatEnumerator(const Database& db, const UpdateContext& ctx,
-                const MuOptions& options, MuStats* stats,
-                const MuExecContext& exec)
-      : db_(db),
-        ctx_(ctx),
+  SatEnumerator(WorldDeltaBase& delta, const WorldOverlay& world,
+                const std::vector<Value>& domain, const MuOptions& options,
+                MuStats* stats, const MuExecContext& exec)
+      : delta_(delta),
+        world_(world),
+        domain_(domain),
         options_(options),
         stats_(stats),
         exec_(exec),
-        s_(exec.scratch != nullptr ? *exec.scratch : own_scratch_) {}
+        s_(exec.scratch != nullptr ? *exec.scratch : own_scratch_.emplace()) {}
 
-  /// Enumerates μ(sentence ∧ literals, db); `literals` are ground literals
+  /// Enumerates μ(sentence ∧ literals, world); `literals` are ground literals
   /// (logic/analysis.h), empty unless τ split its sentence.
   StatusOr<Knowledgebase> Run(const Formula& sentence,
                               const std::vector<Formula>& literals) {
+    const Database& base = *delta_.ext_base();
     GrounderOptions gopts;
     gopts.max_nodes = options_.max_ground_nodes;
     // The grounding and its Tseitin encoding are a pure function of
     // (φ, domain): worlds sharing an active domain reuse one immutable
     // circuit (and its mentioned-var set, borrowed below), one frozen prefix
-    // per component and the model memo; only the per-world defaults are
-    // recomputed. A plain Mu() call brings no cache and builds its prefixes
-    // in one that lives for the call.
-    exec::CnfCache call_cache;
-    exec::CnfCache* cnf_cache =
-        exec_.cnf_cache != nullptr ? exec_.cnf_cache : &call_cache;
+    // per component and the model memo. A plain Mu() call brings no cache and
+    // builds its prefixes in one that lives for the call — whose memo no
+    // later call can read, so that call neither keys nor stores models.
+    std::optional<exec::CnfCache> call_cache;
+    exec::CnfCache* cnf_cache = exec_.cnf_cache;
+    if (cnf_cache == nullptr) cnf_cache = &call_cache.emplace();
+    const bool memoize = exec_.cnf_cache != nullptr;
     KBT_ASSIGN_OR_RETURN(
         std::shared_ptr<const exec::FrozenCnf> frozen,
-        cnf_cache->GetOrBuild(sentence, ctx_.domain, gopts, exec_.ground_cache));
+        cnf_cache->GetOrBuild(sentence, domain_, gopts, exec_.ground_cache));
     frozen_ = frozen.get();
     grounding_ = &frozen->grounding;
-    const Grounding* g = &frozen->grounding->grounding;
     mentioned_ = &frozen->grounding->mentioned;
-    stats_->ground_nodes = g->circuit.size();
-    atoms_ = &g->atoms;
+    stats_->ground_nodes = frozen->grounding->grounding.circuit.size();
     if (frozen->components.empty()) {
-      return Knowledgebase(ctx_.schema);  // Root ⊥: no models at all.
+      return Knowledgebase(base.schema());  // Root ⊥: no models at all.
     }
 
     // A worker-pool solver is reused across worlds: the frozen-fork overwrite
     // keeps its allocated arena and watcher capacity but restores the exact
     // target state, so each enumeration is bit-identical to one over a new
     // Solver.
-    solver_ = exec_.solver != nullptr ? exec_.solver : &own_solver_;
+    solver_ = exec_.solver != nullptr ? exec_.solver : &own_solver_.emplace();
     stats_->ground_atoms = mentioned_->size();
-    s_.atom_state.assign(g->atoms.size(), 0);
     // A literal on an atom the grounding mentions is a unit of that atom's
     // component. Any other atom is independent of the sentence, so every
     // minimal model takes the literal's value there — the same flip in every
     // candidate, which leaves the Winslett order alone — and it is written
-    // into each model's overlay after the enumeration.
-    AtomIndex free_atoms;
-    std::vector<char> free_value;
-    s_.unit_atoms.clear();
-    for (const Formula& literal : literals) {
-      const bool positive = literal->kind() == FormulaKind::kAtom;
-      const Formula& atom = positive ? literal : literal->children()[0];
-      std::vector<Value> args;
-      for (const Term& t : atom->terms()) args.push_back(t.symbol);
-      GroundAtom ground{atom->relation(), Tuple(std::move(args))};
-      int id = g->atoms.Find(ground);
-      if (id >= 0 && frozen->atom_component[static_cast<size_t>(id)] >= 0) {
-        int8_t& state = s_.atom_state[static_cast<size_t>(id)];
-        const int8_t unit = positive ? kUnit | kUnitTrue : kUnit;
-        if (state != 0 && state != unit) return Knowledgebase(ctx_.schema);
-        state = unit;
-        s_.unit_atoms.push_back(id);
-        continue;
-      }
-      size_t free_id = static_cast<size_t>(free_atoms.IdOf(ground));
-      if (free_id == free_value.size()) free_value.push_back(positive);
-      if (free_value[free_id] != positive) return Knowledgebase(ctx_.schema);
-    }
-    stats_->ground_atoms += free_atoms.size();
+    // into each model's overlay below.
+    KBT_ASSIGN_OR_RETURN(std::shared_ptr<const EntryDefaults> defaults,
+                         delta_.Defaults(frozen, literals));
+    if (defaults->contradictory) return Knowledgebase(base.schema());
+    stats_->ground_atoms += defaults->free_atoms.size();
     // Per-request limits are armed on each fork (InitFromFrozen clears them)
     // and disarmed when Run unwinds: the solver may be a session solver that
     // outlives this request's (stack-allocated) token.
@@ -151,32 +131,18 @@ class SatEnumerator {
       Solver* s;
       ~LimitsGuard() { s->ClearLimits(); }
     } limits_guard{solver_};
-    s_.default_value.assign(g->atoms.size(), 0);
-    s_.value.assign(g->atoms.size(), 0);
-    for (int atom_id : *mentioned_) {
-      const GroundAtom& atom = g->atoms.AtomOf(atom_id);
-      bool is_old = IsOldAtom(atom, db_);
-      const Relation* r = ctx_.extended_base.FindRelation(atom.relation);
-      if (r == nullptr) {
-        return Status::NotFound("relation not in schema: " +
-                                NameOf(atom.relation));
-      }
-      const bool default_true = is_old && r->Contains(atom.tuple);
-      s_.default_value[static_cast<size_t>(atom_id)] = default_true;
-      s_.atom_state[static_cast<size_t>(atom_id)] |=
-          static_cast<int8_t>((is_old ? kOld : 0) |
-                              (default_true ? kDefaultTrue : 0));
-    }
+    unit_atoms_ = &defaults->unit_atoms;
 
     // The default world's circuit values seed a search's gate phases and
     // show which components the default world already satisfies. Such a
     // component — unless a literal unit moves one of its atoms off its
     // default — has the default as its one minimal model (it deviates on
     // nothing, so it is ≤_db every model), and contributes no deviation.
-    EvaluateDefaults();
+    LoadDefaults(defaults);
+    s_.value.resize(s_.atom_state.size());
     const size_t k = frozen->components.size();
     s_.component_moved.assign(k, 0);
-    for (int a : s_.unit_atoms) {
+    for (int a : *unit_atoms_) {
       const int8_t state = s_.atom_state[static_cast<size_t>(a)];
       if (((state & kUnitTrue) != 0) != ((state & kDefaultTrue) != 0)) {
         s_.component_moved[static_cast<size_t>(
@@ -187,7 +153,9 @@ class SatEnumerator {
     // stored. A component without models empties μ at once. One that
     // overflows max_models fails the call unless a later component has no
     // models.
-    std::vector<std::shared_ptr<const exec::ComponentModels>> models;
+    std::vector<std::shared_ptr<const exec::ComponentModels>>& models =
+        s_.models;
+    models.clear();
     Status overflow;
     for (size_t c = 0; c < k; ++c) {
       const exec::CnfComponent& component = frozen->components[c];
@@ -198,15 +166,18 @@ class SatEnumerator {
                       })) {
         continue;
       }
-      // Key: the component's index, then one state byte per atom.
-      std::string& key = s_.memo_key;
-      const uint32_t index = static_cast<uint32_t>(c);
-      key.assign(reinterpret_cast<const char*>(&index), sizeof(index));
-      for (int a : component.atoms) {
-        key.push_back(static_cast<char>(s_.atom_state[static_cast<size_t>(a)]));
+      std::shared_ptr<const exec::ComponentModels> found;
+      if (memoize) {
+        // Key: the component's index, then one state byte per atom.
+        std::string& key = s_.memo_key;
+        const uint32_t index = static_cast<uint32_t>(c);
+        key.assign(reinterpret_cast<const char*>(&index), sizeof(index));
+        for (int a : component.atoms) {
+          key.push_back(
+              static_cast<char>(s_.atom_state[static_cast<size_t>(a)]));
+        }
+        found = frozen->memo.Find(key);
       }
-      std::shared_ptr<const exec::ComponentModels> found =
-          frozen->memo.Find(key);
       if (found == nullptr) {
         StatusOr<std::shared_ptr<const exec::ComponentModels>> enumerated =
             Enumerate(static_cast<int>(c));
@@ -218,9 +189,9 @@ class SatEnumerator {
           continue;
         }
         found = *std::move(enumerated);
-        frozen->memo.Insert(key, found);
+        if (memoize) frozen->memo.Insert(s_.memo_key, found);
       }
-      if (found->size() == 0) return Knowledgebase(ctx_.schema);
+      if (found->size() == 0) return Knowledgebase(base.schema());
       models.push_back(std::move(found));
     }
     KBT_RETURN_IF_ERROR(overflow);
@@ -235,53 +206,102 @@ class SatEnumerator {
     }
     stats_->minimal_models = total;
 
-    WorldOverlay free_overlay;
-    if (free_atoms.size() > 0) {
-      std::vector<int> free_ids(free_atoms.size());
-      std::iota(free_ids.begin(), free_ids.end(), 0);
-      KBT_ASSIGN_OR_RETURN(
-          free_overlay,
-          MaterializeOverlayModel(ctx_, free_atoms, free_ids, [&](int id) {
-            return free_value[static_cast<size_t>(id)] != 0;
-          }));
-    }
     // The product, odometer order: model n picks pick[c] in the c-th searched
     // component and deviates from the default world on the union of the
-    // picks' deviations.
-    s_.value = s_.default_value;
-    std::function<bool(int)> value_fn = [&](int a) {
-      return s_.value[static_cast<size_t>(a)] != 0;
-    };
-    const size_t parts = models.size();
-    auto toggle = [&](const std::vector<uint32_t>& pick) {
-      for (size_t c = 0; c < parts; ++c) {
-        auto [begin, end] = models[c]->Model(pick[c]);
-        for (const int* a = begin; a != end; ++a) {
-          s_.value[static_cast<size_t>(*a)] ^= 1;
-        }
+    // picks' deviations — each one the atom's default flipped — and on the
+    // free literals the world disagrees with. Its overlay is the world's,
+    // edited there.
+    std::vector<TupleEdit>& free_edits = s_.free_edits;
+    free_edits.clear();
+    for (const EntryDefaults::FreeAtom& atom : defaults->free_atoms) {
+      TupleView t(atom.tuple);
+      if (world_.Holds(base, atom.pos, t) != atom.value) {
+        free_edits.push_back({atom.pos, t, atom.value});
       }
-    };
-    std::vector<uint32_t> pick(parts, 0);
+    }
+    const size_t parts = models.size();
+    std::vector<uint32_t>& pick = s_.pick;
+    pick.assign(parts, 0);
+    std::vector<TupleEdit>& edits = s_.edits;
     std::vector<WorldOverlay> overlays;
     overlays.reserve(total);
     for (size_t n = 0; n < total; ++n) {
-      toggle(pick);
-      StatusOr<WorldOverlay> overlay = MaterializeProductModel(n, value_fn);
-      toggle(pick);
-      KBT_RETURN_IF_ERROR(overlay.status());
-      overlays.push_back(free_overlay.identity()
-                             ? *std::move(overlay)
-                             : WorldOverlay::Compose(*overlay, free_overlay));
+      edits.assign(free_edits.begin(), free_edits.end());
+      for (size_t c = 0; c < parts; ++c) {
+        auto [begin, end] = models[c]->Model(pick[c]);
+        for (const int* a = begin; a != end; ++a) {
+          const exec::FrozenCnf::AtomSlot& slot =
+              frozen->atom_slots[static_cast<size_t>(*a)];
+          edits.push_back({defaults->relation_pos[slot.relation], slot.tuple,
+                           !DefaultOf(*a)});
+        }
+      }
+      std::sort(edits.begin(), edits.end(),
+                [](const TupleEdit& x, const TupleEdit& y) {
+                  return x.pos != y.pos ? x.pos < y.pos : x.tuple < y.tuple;
+                });
+      overlays.push_back(world_.WithEdits(base, edits));
       for (size_t c = 0; c < parts && ++pick[c] == models[c]->size(); ++c) {
         pick[c] = 0;
       }
     }
-    return Knowledgebase::FromBaseAndOverlays(
-        std::make_shared<const Database>(ctx_.extended_base),
-        std::move(overlays));
+    return Knowledgebase::FromBaseAndOverlays(delta_.ext_base(),
+                                              std::move(overlays));
   }
 
  private:
+  /// Loads the world's default bytes into s_.atom_state and evaluates the
+  /// circuit under them into s_.node_value. When the scratch already holds
+  /// this base's bytes (the previous world on this worker was of the same
+  /// call and entry), only the previous and the current world's patches
+  /// change, and only their cone is re-evaluated; bit-identical to the full
+  /// walk.
+  void LoadDefaults(const std::shared_ptr<const EntryDefaults>& defaults) {
+    const Grounding& g = (*grounding_)->grounding;
+    std::vector<int8_t>& state = s_.atom_state;
+    std::vector<int>& dirty = s_.dirty_atoms;
+    const bool evaluated = s_.eval_owner.get() == grounding_->get() &&
+                           state.size() == g.atoms.size() &&
+                           s_.node_value.size() == g.circuit.size();
+    const bool same_base = evaluated && s_.state_owner == defaults;
+    // Invalid until both are consistent again.
+    s_.eval_owner.reset();
+    s_.state_owner.reset();
+    dirty.clear();
+    if (same_base) {
+      for (int a : s_.patched) {
+        state[static_cast<size_t>(a)] =
+            defaults->atom_state[static_cast<size_t>(a)];
+        dirty.push_back(a);
+      }
+    } else {
+      if (evaluated) {
+        for (int a : *mentioned_) {
+          const size_t i = static_cast<size_t>(a);
+          if (((state[i] ^ defaults->atom_state[i]) & kDefaultTrue) != 0) {
+            dirty.push_back(a);
+          }
+        }
+      }
+      state = defaults->atom_state;
+    }
+    s_.patched.clear();
+    PatchWorldDefaults(*frozen_, *delta_.ext_base(), world_, &state,
+                       &s_.patched);
+    dirty.insert(dirty.end(), s_.patched.begin(), s_.patched.end());
+    auto default_of = [&](int atom_id) {
+      return (state[static_cast<size_t>(atom_id)] & kDefaultTrue) != 0;
+    };
+    if (evaluated) {
+      g.circuit.ReevaluateInto(dirty, default_of, (*grounding_)->users,
+                               &s_.node_value, &s_.eval_heap);
+    } else {
+      g.circuit.EvaluateAllInto(g.root, default_of, &s_.node_value);
+    }
+    s_.eval_owner = *grounding_;
+    s_.state_owner = defaults;
+  }
+
   /// Enumerates component `c`'s minimal models under this world's defaults
   /// and units on a fork of its frozen prefix. Only a complete enumeration
   /// returns; a deadline, budget or max_models trip returns its status.
@@ -298,7 +318,7 @@ class SatEnumerator {
     auto out = std::make_shared<exec::ComponentModels>();
 
     s_.clause_lits.clear();
-    for (int a : s_.unit_atoms) {
+    for (int a : *unit_atoms_) {
       if (frozen_->atom_component[static_cast<size_t>(a)] != c) continue;
       s_.clause_lits.push_back(ValueLit(
           a, (s_.atom_state[static_cast<size_t>(a)] & kUnitTrue) != 0));
@@ -327,7 +347,7 @@ class SatEnumerator {
 
     // Branch toward the default world first — atoms *and* Tseitin gates. The
     // gate phases are each node's value under the default assignment (Run's
-    // EvaluateDefaults), so the first probe's decisions on gate variables
+    // LoadDefaults), so the first probe's decisions on gate variables
     // steer the same direction as the atoms below them instead of forcing
     // arbitrary subcircuit values; first models start near the Winslett
     // minimum and descents are short. Later solves re-seed only the atoms
@@ -390,57 +410,6 @@ class SatEnumerator {
     fork_stats_ = now;
   }
 
-  /// Evaluates the circuit under this world's defaults into s_.node_value.
-  /// Incremental when the previous evaluation on this worker was of the same
-  /// grounding (patching the changed-default cone is bit-identical to the
-  /// full walk).
-  void EvaluateDefaults() {
-    const Grounding& g = (*grounding_)->grounding;
-    auto default_of = [&](int atom_id) {
-      return s_.default_value[static_cast<size_t>(atom_id)] != 0;
-    };
-    const bool warm_eval = s_.eval_owner.get() == grounding_->get() &&
-                           s_.prev_default.size() == g.atoms.size() &&
-                           s_.node_value.size() == g.circuit.size();
-    if (warm_eval) {
-      s_.dirty_atoms.clear();
-      for (int atom_id : *mentioned_) {
-        size_t a = static_cast<size_t>(atom_id);
-        if (s_.default_value[a] != s_.prev_default[a]) {
-          s_.dirty_atoms.push_back(atom_id);
-        }
-      }
-      g.circuit.ReevaluateInto(s_.dirty_atoms, default_of, (*grounding_)->users,
-                               &s_.node_value, &s_.eval_heap);
-    } else {
-      g.circuit.EvaluateAllInto(g.root, default_of, &s_.node_value);
-    }
-    s_.prev_default = s_.default_value;
-    s_.eval_owner = *grounding_;
-  }
-
-  /// Materializes product model number `n` (the assignment `value_fn`) as an
-  /// overlay against ctx.extended_base. Lazy: the first model goes through
-  /// the specification-shaped MaterializeOverlayModel, and the group/tuple-
-  /// order precomputation is only paid once a second model proves the run is
-  /// a real enumeration — rebuilt in the scratch-parked materializer with
-  /// warm buffers. Both paths are O(delta), no base copy.
-  StatusOr<WorldOverlay> MaterializeProductModel(
-      size_t n, const std::function<bool(int)>& value_fn) {
-    if (n == 0) {
-      return MaterializeOverlayModel(ctx_, *atoms_, *mentioned_, value_fn);
-    }
-    auto* slot = dynamic_cast<MaterializerSlot*>(s_.attachment.get());
-    if (slot == nullptr) {
-      s_.attachment = std::make_unique<MaterializerSlot>();
-      slot = static_cast<MaterializerSlot*>(s_.attachment.get());
-    }
-    if (n == 1) {
-      KBT_RETURN_IF_ERROR(slot->materializer.Rebuild(ctx_, *atoms_, *mentioned_));
-    }
-    return slot->materializer.MaterializeOverlay(value_fn);
-  }
-
   /// Blocks the candidate and everything ≥_db it. Since the candidate is strictly
   /// above some reported minimal model whenever it is not itself minimal, every
   /// member of its up-set is safely non-minimal (or the candidate itself), so this
@@ -489,7 +458,9 @@ class SatEnumerator {
   }
 
   Var AtomVar(int a) { return frozen_->atom_var[static_cast<size_t>(a)]; }
-  bool DefaultOf(int a) { return s_.default_value[static_cast<size_t>(a)] != 0; }
+  bool DefaultOf(int a) {
+    return (s_.atom_state[static_cast<size_t>(a)] & kDefaultTrue) != 0;
+  }
 
   /// Literal asserting atom `a` has its default value.
   Lit KeepLit(int a) { return MkLit(AtomVar(a), /*negated=*/!DefaultOf(a)); }
@@ -643,26 +614,29 @@ class SatEnumerator {
     return out;
   }
 
-  const Database& db_;
-  const UpdateContext& ctx_;
+  WorldDeltaBase& delta_;
+  const WorldOverlay& world_;
+  const std::vector<Value>& domain_;
   const MuOptions& options_;
   MuStats* stats_;
   const MuExecContext& exec_;
 
-  /// Fallback solver when the executor supplies none.
-  Solver own_solver_;
-  /// The solver in use: exec_.solver (forked per component) or &own_solver_.
+  /// Fallback solver, built only when the executor supplies none.
+  std::optional<Solver> own_solver_;
+  /// The solver in use: exec_.solver (forked per component) or own_solver_.
   Solver* solver_ = nullptr;
   /// The encoded grounding, held alive by Run.
   const exec::FrozenCnf* frozen_ = nullptr;
   const std::shared_ptr<const exec::CachedGrounding>* grounding_ = nullptr;
-  const AtomIndex* atoms_ = nullptr;
   /// Borrowed from the CachedGrounding.
   const std::vector<int>* mentioned_ = nullptr;
+  /// Borrowed from the EntryDefaults.
+  const std::vector<int>* unit_atoms_ = nullptr;
   /// Atoms of the component being enumerated.
   const std::vector<int>* component_atoms_ = nullptr;
-  /// Fallback scratch when the executor supplies none (plain Mu() calls).
-  exec::WorldScratch own_scratch_;
+  /// Fallback scratch, built only when the executor supplies none (plain
+  /// Mu() calls).
+  std::optional<exec::WorldScratch> own_scratch_;
   /// Per-world tables and loop scratch: exec_.scratch (worker-pooled) or
   /// own_scratch_.
   exec::WorldScratch& s_;
@@ -674,16 +648,159 @@ class SatEnumerator {
   const std::vector<Lit> no_assumptions_;
 };
 
+/// Runs the enumerator on the split core when τ split the sentence.
+StatusOr<Knowledgebase> RunSat(const Formula& sentence, WorldDeltaBase& delta,
+                               const WorldOverlay& world,
+                               const std::vector<Value>& domain,
+                               const MuOptions& options, MuStats* stats,
+                               const MuExecContext& exec) {
+  SatEnumerator enumerator(delta, world, domain, options, stats, exec);
+  if (exec.split != nullptr) {
+    return enumerator.Run(exec.split->core, exec.split->literals);
+  }
+  static const std::vector<Formula> kNoLiterals;
+  return enumerator.Run(sentence, kNoLiterals);
+}
+
 }  // namespace
+
+StatusOr<std::shared_ptr<const EntryDefaults>> MakeEntryDefaults(
+    std::shared_ptr<const exec::FrozenCnf> entry, const Database& ext_base,
+    size_t old_relations, const std::vector<Formula>& literals) {
+  auto out = std::make_shared<EntryDefaults>();
+  const exec::FrozenCnf& frozen = *entry;
+  const Grounding& g = frozen.grounding->grounding;
+  const Schema& schema = ext_base.schema();
+  out->entry = std::move(entry);
+  out->atom_state.assign(g.atoms.size(), 0);
+  std::vector<Value> args;
+  for (const Formula& literal : literals) {
+    const bool positive = literal->kind() == FormulaKind::kAtom;
+    const Formula& atom = positive ? literal : literal->children()[0];
+    args.clear();
+    for (const Term& t : atom->terms()) args.push_back(t.symbol);
+    TupleView tuple(args.data(), args.size());
+    const int id = g.atoms.Find(atom->relation(), tuple);
+    if (id >= 0 && frozen.atom_component[static_cast<size_t>(id)] >= 0) {
+      int8_t& state = out->atom_state[static_cast<size_t>(id)];
+      const int8_t unit = positive ? kUnit | kUnitTrue : kUnit;
+      if (state != 0 && state != unit) {
+        out->contradictory = true;
+        return std::shared_ptr<const EntryDefaults>(std::move(out));
+      }
+      state = unit;
+      out->unit_atoms.push_back(id);
+      continue;
+    }
+    std::optional<size_t> pos = schema.PositionOf(atom->relation());
+    if (!pos) {
+      return Status::NotFound("relation not in schema: " +
+                              NameOf(atom->relation()));
+    }
+    auto same = std::find_if(
+        out->free_atoms.begin(), out->free_atoms.end(),
+        [&](const EntryDefaults::FreeAtom& f) {
+          return f.pos == *pos && TupleView(f.tuple) == tuple;
+        });
+    if (same == out->free_atoms.end()) {
+      out->free_atoms.push_back(
+          {static_cast<uint32_t>(*pos), tuple.ToTuple(), positive});
+    } else if (same->value != positive) {
+      out->contradictory = true;
+      return std::shared_ptr<const EntryDefaults>(std::move(out));
+    }
+  }
+  std::sort(out->free_atoms.begin(), out->free_atoms.end(),
+            [](const EntryDefaults::FreeAtom& x, const EntryDefaults::FreeAtom& y) {
+              return x.pos != y.pos ? x.pos < y.pos
+                                    : TupleView(x.tuple) < TupleView(y.tuple);
+            });
+  for (Symbol relation : frozen.relations) {
+    std::optional<size_t> pos = schema.PositionOf(relation);
+    if (!pos) {
+      return Status::NotFound("relation not in schema: " + NameOf(relation));
+    }
+    out->relation_pos.push_back(static_cast<uint32_t>(*pos));
+  }
+  for (int atom_id : frozen.grounding->mentioned) {
+    const exec::FrozenCnf::AtomSlot& slot =
+        frozen.atom_slots[static_cast<size_t>(atom_id)];
+    const size_t pos = out->relation_pos[slot.relation];
+    const bool is_old = pos < old_relations;
+    const bool default_true =
+        is_old && ext_base.relation_at(pos).Contains(slot.tuple);
+    out->atom_state[static_cast<size_t>(atom_id)] |= static_cast<int8_t>(
+        (is_old ? kOld : 0) | (default_true ? kDefaultTrue : 0));
+  }
+  return std::shared_ptr<const EntryDefaults>(std::move(out));
+}
+
+void PatchWorldDefaults(const exec::FrozenCnf& entry, const Database& ext_base,
+                        const WorldOverlay& overlay,
+                        std::vector<int8_t>* atom_state,
+                        std::vector<int>* patched) {
+  const AtomIndex& atoms = entry.grounding->grounding.atoms;
+  auto set = [&](Symbol relation, TupleView t, bool value) {
+    const int id = atoms.Find(relation, t);
+    if (id < 0 || static_cast<size_t>(id) >= entry.atom_component.size() ||
+        entry.atom_component[static_cast<size_t>(id)] < 0) {
+      return;
+    }
+    int8_t& state = (*atom_state)[static_cast<size_t>(id)];
+    state = static_cast<int8_t>(value ? state | kDefaultTrue
+                                      : state & ~kDefaultTrue);
+    patched->push_back(id);
+  };
+  for (const RelationDelta& d : overlay.deltas()) {
+    const Symbol relation = ext_base.schema().decl(d.pos).symbol;
+    for (TupleView t : d.adds) set(relation, t, true);
+    for (TupleView t : d.dels) set(relation, t, false);
+  }
+}
+
+StatusOr<std::shared_ptr<const EntryDefaults>> WorldDeltaBase::Defaults(
+    const std::shared_ptr<const exec::FrozenCnf>& entry,
+    const std::vector<Formula>& literals) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::shared_ptr<const EntryDefaults>& d : built_) {
+    if (d->entry == entry) return d;
+  }
+  KBT_ASSIGN_OR_RETURN(
+      std::shared_ptr<const EntryDefaults> d,
+      MakeEntryDefaults(entry, *ext_base_, old_relations_, literals));
+  built_.push_back(d);
+  return d;
+}
 
 StatusOr<Knowledgebase> MuSat(const Formula& sentence, const Database& db,
                               const UpdateContext& ctx, const MuOptions& options,
                               MuStats* stats, const MuExecContext& exec) {
-  SatEnumerator enumerator(db, ctx, options, stats, exec);
-  if (exec.split != nullptr) {
-    return enumerator.Run(exec.split->core, exec.split->literals);
+  // A materialized world is the whole base of a one-world delta step: its
+  // overlay is the identity and its defaults are built for this call.
+  WorldDeltaBase delta(std::make_shared<const Database>(ctx.extended_base),
+                       db.schema().size());
+  return RunSat(sentence, delta, WorldOverlay(), ctx.domain, options, stats,
+                exec);
+}
+
+StatusOr<Knowledgebase> MuSatWorld(const Formula& sentence,
+                                   const WorldOverlay& world,
+                                   const MuOptions& options, MuStats* stats,
+                                   const MuExecContext& exec) {
+  if (options.cancel != nullptr && options.cancel->Expired()) {
+    return Status::DeadlineExceeded("μ cancelled before evaluation");
   }
-  return enumerator.Run(sentence, {});
+  MuStats local;
+  MuStats* out = stats != nullptr ? stats : &local;
+  out->used = MuStrategy::kSat;
+  std::vector<Value> own_domain;
+  std::vector<Value>& domain =
+      exec.scratch != nullptr ? exec.scratch->domain : own_domain;
+  domain.clear();
+  std::set_union(exec.active_domain->begin(), exec.active_domain->end(),
+                 exec.formula_constants->begin(),
+                 exec.formula_constants->end(), std::back_inserter(domain));
+  return RunSat(sentence, *exec.delta, world, domain, options, out, exec);
 }
 
 }  // namespace kbt::internal

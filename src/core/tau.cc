@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -32,22 +33,19 @@ bool LiteralsInCoreDomain(const GroundLiteralSplit& split,
 
 /// Merges the per-world μ results into the final kb.
 ///
-/// The merge never flattens: every μ result arrives as overlays against its
-/// own world extended to σ(kb) ∪ σ(φ), which is itself an overlay of the
-/// shared extended input base (schema union appends declarations, so input
-/// overlay positions survive extension unchanged). Composing the two yields
-/// each output world as an overlay of one shared base, and a single
-/// canonicalization over those overlays — O(worlds × delta) — replaces the
-/// old flat UnionAll.
-StatusOr<Knowledgebase> MergeTauResults(const Knowledgebase& kb,
-                                        const Schema& extended_schema,
-                                        std::vector<Knowledgebase> results,
-                                        const Knowledgebase::ParallelMap* pmap,
-                                        TauStats* out) {
-  KBT_ASSIGN_OR_RETURN(Database extended,
-                       kb.base()->ExtendTo(extended_schema));
-  auto ext_base = std::make_shared<const Database>(std::move(extended));
-
+/// The merge never flattens: every output world becomes an overlay of one
+/// shared base — the input base extended to σ(kb) ∪ σ(φ) — and a single
+/// canonicalization over those overlays, O(worlds × delta), replaces a flat
+/// union. A delta-step result is anchored at that base already. Any other
+/// μ result is anchored at its own input world extended, which is the input
+/// overlay applied to the shared extended base (schema union appends
+/// declarations, so input overlay positions survive extension unchanged), so
+/// its overlays compose with the input overlay in O(delta); any other anchor
+/// falls back to an explicit diff.
+StatusOr<Knowledgebase> MergeTauResults(
+    const Knowledgebase& kb, const std::shared_ptr<const Database>& ext_base,
+    std::vector<Knowledgebase> results, const Knowledgebase::ParallelMap* pmap,
+    TauStats* out) {
   size_t total = 0;
   for (const Knowledgebase& r : results) total += r.size();
   std::vector<WorldOverlay> merged;
@@ -55,14 +53,13 @@ StatusOr<Knowledgebase> MergeTauResults(const Knowledgebase& kb,
   for (size_t i = 0; i < results.size(); ++i) {
     const Knowledgebase& r = results[i];
     if (r.empty()) continue;
-    if (r.schema() != extended_schema) {
+    if (r.schema() != ext_base->schema()) {
       return Status::InvalidArgument("knowledgebase union: schema mismatch");
     }
-    // μ anchors its result at ctx.extended_base, i.e. this input world
-    // extended — which is exactly the input overlay applied to the shared
-    // extended base. When that holds (deep check, but touched relations
-    // only), output overlays compose in O(delta); any other anchor falls
-    // back to an explicit diff.
+    if (r.base() == ext_base) {
+      merged.insert(merged.end(), r.overlays().begin(), r.overlays().end());
+      continue;
+    }
     const WorldOverlay& input_ov = kb.overlays()[i];
     bool rebased = r.base() != nullptr &&
                    input_ov.ApplyEquals(*ext_base, *r.base());
@@ -74,20 +71,30 @@ StatusOr<Knowledgebase> MergeTauResults(const Knowledgebase& kb,
   }
   if (merged.empty()) {
     out->output_databases = 0;
-    return Knowledgebase(extended_schema);
+    return Knowledgebase(ext_base->schema());
   }
   KBT_ASSIGN_OR_RETURN(
       Knowledgebase out_kb,
-      Knowledgebase::FromBaseAndOverlays(std::move(ext_base), std::move(merged),
-                                         pmap));
+      Knowledgebase::FromBaseAndOverlays(ext_base, std::move(merged), pmap));
   out->output_databases = out_kb.size();
   return out_kb;
+}
+
+/// kb's base extended to `schema`: the base every output world of τ is an
+/// overlay of.
+StatusOr<std::shared_ptr<const Database>> ExtendedBase(const Knowledgebase& kb,
+                                                       const Schema& schema) {
+  KBT_ASSIGN_OR_RETURN(Database extended, kb.base()->ExtendTo(schema));
+  return std::make_shared<const Database>(std::move(extended));
 }
 
 /// What Tau's merge needs from the per-world loop: the extended schema and the
 /// pool the worlds ran on (borrowed, or spawned for the call and owned here).
 struct WorldLoop {
   Schema extended_schema;
+  /// The input base extended to extended_schema, when the delta step built
+  /// it (null otherwise).
+  std::shared_ptr<const Database> ext_base;
   exec::ThreadPool* pool = nullptr;
   std::unique_ptr<exec::ThreadPool> own_pool;
 };
@@ -106,8 +113,8 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
 
   // The extended schema σ(kb) ∪ σ(φ) depends only on the shared input schema,
   // so one probe context resolves it up front (an empty kb keeps it too).
+  Database probe(kb.schema());
   {
-    Database probe(kb.schema());
     KBT_ASSIGN_OR_RETURN(UpdateContext ctx, MakeUpdateContext(sentence, probe));
     loop->extended_schema = std::move(ctx.schema);
   }
@@ -148,10 +155,25 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
   // schema: resolve the kAuto dispatch once here instead of once per world.
   internal::TauStrategyPlan plan;
   if (options.mu.strategy == MuStrategy::kAuto) {
-    Database first_world = kb.World(0);
-    KBT_ASSIGN_OR_RETURN(plan, internal::PlanTauStrategies(sentence, first_world));
+    KBT_ASSIGN_OR_RETURN(plan, internal::PlanTauStrategies(sentence, probe));
     base_exec.plan = &plan;
   }
+  // Worlds on the SAT strategy take the delta step: μ/SAT reads each world
+  // as its overlay of the shared base and never materializes it. The other
+  // strategies read the whole database, so they get the materialized world.
+  const bool delta_step =
+      options.mu.strategy == MuStrategy::kSat ||
+      (options.mu.strategy == MuStrategy::kAuto && !plan.sentence_is_ground &&
+       plan.datalog == nullptr && plan.definitional == nullptr);
+  std::optional<internal::WorldDeltaBase> delta;
+  if (delta_step) {
+    KBT_ASSIGN_OR_RETURN(loop->ext_base,
+                         ExtendedBase(kb, loop->extended_schema));
+    base_exec.delta = &delta.emplace(loop->ext_base, kb.schema().size());
+  }
+  // Each world's active domain comes from the base's value counts and its
+  // overlay.
+  const internal::BaseValueCounts counts(*kb.base());
 
   std::vector<Status> statuses(kb.size());
   std::vector<MuStats> world_stats(kb.size());
@@ -168,21 +190,24 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
     // Sibling worlds already running complete normally.
     Status s = [&]() -> Status {
       try {
-        // The world is materialized transiently from the shared base — a
-        // copy-on-write overlay application, never a stored flat copy.
-        Database world = kb.World(i);
-        // One active-domain pass per world serves the split check and μ's
-        // update context.
-        const std::vector<Value> adom = world.ActiveDomain();
+        const WorldOverlay& overlay = kb.overlays()[i];
+        // One active domain per world serves the split check and μ.
+        std::vector<Value>& adom = exec.scratch->active_domain;
+        counts.WorldDomain(overlay, &exec.scratch->value_changes, &adom);
         exec.active_domain = &adom;
         // Keeps the caller's caches to the core's own domains (TauExec).
         if (exec.split != nullptr && !LiteralsInCoreDomain(*exec.split, adom)) {
           exec.ground_cache = &local_ground_cache;
           exec.cnf_cache = exec.cnf_cache ? &local_cnf_cache : nullptr;
         }
-        KBT_ASSIGN_OR_RETURN(Knowledgebase r,
-                             internal::MuExec(sentence, world, options.mu,
-                                              &world_stats[i], exec));
+        // Otherwise the world is materialized transiently from the shared
+        // base — a copy-on-write overlay application, never a stored copy.
+        KBT_ASSIGN_OR_RETURN(
+            Knowledgebase r,
+            delta_step ? internal::MuSatWorld(sentence, overlay, options.mu,
+                                              &world_stats[i], exec)
+                       : internal::MuExec(sentence, kb.World(i), options.mu,
+                                          &world_stats[i], exec));
         KBT_ASSIGN_OR_RETURN(bool done, visit(i, std::move(r)));
         if (done) stop.store(true, std::memory_order_relaxed);
         return Status::OK();
@@ -207,12 +232,15 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
     // Sequential path: same per-world calls, same merge — the parallel path is
     // bit-identical because results land in per-world slots either way. A
     // session-pinned solver/scratch (serving reads) replaces the per-call
-    // locals so arena capacity and enumerator buffers stay warm across calls.
-    sat::Solver local_solver;
-    exec::WorldScratch local_scratch;
+    // locals, which are built only when missing, so arena capacity and
+    // enumerator buffers stay warm across calls.
+    std::optional<sat::Solver> local_solver;
+    std::optional<exec::WorldScratch> local_scratch;
     internal::MuExecContext exec = base_exec;
-    exec.solver = options.solver != nullptr ? options.solver : &local_solver;
-    exec.scratch = options.scratch != nullptr ? options.scratch : &local_scratch;
+    exec.solver = options.solver != nullptr ? options.solver
+                                            : &local_solver.emplace();
+    exec.scratch = options.scratch != nullptr ? options.scratch
+                                              : &local_scratch.emplace();
     for (size_t i = 0; i < kb.size() && !stop.load(std::memory_order_relaxed);
          ++i) {
       run_world(i, exec);
@@ -284,6 +312,48 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
 
 }  // namespace
 
+internal::BaseValueCounts::BaseValueCounts(const Database& base) {
+  std::vector<Value> all;
+  for (const Relation& r : base.relations()) r.CollectValues(&all);
+  std::sort(all.begin(), all.end());
+  for (size_t i = 0; i < all.size();) {
+    size_t j = i;
+    while (j < all.size() && all[j] == all[i]) ++j;
+    values_.push_back(all[i]);
+    counts_.push_back(static_cast<uint32_t>(j - i));
+    i = j;
+  }
+}
+
+void internal::BaseValueCounts::WorldDomain(
+    const WorldOverlay& overlay, std::vector<std::pair<Value, int>>* changes,
+    std::vector<Value>* out) const {
+  changes->clear();
+  for (const RelationDelta& d : overlay.deltas()) {
+    for (Value v : d.adds.flat()) changes->emplace_back(v, 1);
+    for (Value v : d.dels.flat()) changes->emplace_back(v, -1);
+  }
+  std::sort(changes->begin(), changes->end());
+  out->clear();
+  size_t b = 0;
+  for (size_t c = 0; c < changes->size();) {
+    const Value v = (*changes)[c].first;
+    int net = 0;
+    for (; c < changes->size() && (*changes)[c].first == v; ++c) {
+      net += (*changes)[c].second;
+    }
+    for (; b < values_.size() && values_[b] < v; ++b) {
+      out->push_back(values_[b]);
+    }
+    const bool in_base = b < values_.size() && values_[b] == v;
+    const int64_t count = (in_base ? int64_t{counts_[b]} : 0) + net;
+    if (in_base) ++b;
+    if (count > 0) out->push_back(v);
+  }
+  out->insert(out->end(), values_.begin() + static_cast<std::ptrdiff_t>(b),
+              values_.end());
+}
+
 StatusOr<bool> internal::ForEachTauWorld(const Formula& sentence,
                                          const GroundLiteralSplit* split,
                                          const Knowledgebase& kb,
@@ -327,7 +397,11 @@ StatusOr<Knowledgebase> internal::TauExec(const Formula& sentence,
       return pool->ParallelFor(n, [&fn](size_t i, size_t) { fn(i); });
     };
   }
-  return MergeTauResults(kb, loop.extended_schema, std::move(results),
+  if (loop.ext_base == nullptr) {
+    KBT_ASSIGN_OR_RETURN(loop.ext_base,
+                         ExtendedBase(kb, loop.extended_schema));
+  }
+  return MergeTauResults(kb, loop.ext_base, std::move(results),
                          loop.pool != nullptr ? &pmap : nullptr, out);
 }
 

@@ -19,6 +19,8 @@
 /// equal to the union of plain per-world μ calls (tests/tau_parallel_test.cc).
 
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "base/status.h"
 #include "core/mu.h"
@@ -116,6 +118,28 @@ StatusOr<Knowledgebase> TauExec(const Formula& sentence,
                                 const GroundLiteralSplit* split,
                                 const Knowledgebase& kb,
                                 const TauOptions& options, TauStats* stats);
+
+/// The value occurrences of a τ call's shared input base, counted once per
+/// call. A world's active domain follows from them and its overlay alone:
+/// adds are disjoint from the base and dels contained in it, so a value's
+/// occurrences in the world are its base count plus its occurrences in the
+/// adds minus those in the dels. O(delta + |adom|) per world instead of a
+/// scan of the materialized world.
+class BaseValueCounts {
+ public:
+  explicit BaseValueCounts(const Database& base);
+
+  /// Writes the active domain of the world `overlay` denotes over the
+  /// counted base to `out` (sorted, distinct), equal to
+  /// overlay.ApplyTo(base).ActiveDomain(). `changes` is scratch.
+  void WorldDomain(const WorldOverlay& overlay,
+                   std::vector<std::pair<Value, int>>* changes,
+                   std::vector<Value>* out) const;
+
+ private:
+  std::vector<Value> values_;     ///< Distinct base values, sorted.
+  std::vector<uint32_t> counts_;  ///< Occurrences of values_[i] in the base.
+};
 
 /// τ's per-world loop without the merge: hands μ(φ, db) for each member db
 /// of `kb` (by world index, over σ(kb) ∪ σ(φ)) to `visit` on the thread that

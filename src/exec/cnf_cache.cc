@@ -135,6 +135,16 @@ StatusOr<std::shared_ptr<const FrozenCnf>> MakeFrozenCnf(
           : *std::max_element(conjunct_component.begin(),
                               conjunct_component.end()) + 1;
   cnf->components = std::vector<CnfComponent>(static_cast<size_t>(groups));
+  cnf->atom_slots.assign(g.atoms.size(), {});
+  for (int atom_id : mentioned) {
+    const GroundAtom& atom = g.atoms.AtomOf(atom_id);
+    auto known = std::find(cnf->relations.begin(), cnf->relations.end(),
+                           atom.relation);
+    cnf->atom_slots[static_cast<size_t>(atom_id)] = {
+        static_cast<uint32_t>(known - cnf->relations.begin()),
+        TupleView(atom.tuple)};
+    if (known == cnf->relations.end()) cnf->relations.push_back(atom.relation);
+  }
   for (int atom_id : mentioned) {
     int c = groups == 1 ? 0
                         : conjunct_component[static_cast<size_t>(

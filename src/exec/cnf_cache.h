@@ -143,6 +143,19 @@ struct FrozenCnf {
   /// Dense ground-atom id → solver variable in its component's prefix (-1
   /// when not mentioned).
   std::vector<sat::Var> atom_var;
+  /// Where a mentioned atom sits in a world: `relation` indexes `relations`
+  /// and `tuple` views the atom table's tuple. The enumerator writes each
+  /// product model's overlay straight from these. The entry outlives any one
+  /// kb schema (the serving bank keeps it across snapshots), so positions
+  /// are into `relations`, which a τ call maps onto its own schema once.
+  struct AtomSlot {
+    uint32_t relation = 0;
+    TupleView tuple;
+  };
+  /// The relations of the mentioned atoms, in order of first mention.
+  std::vector<Symbol> relations;
+  /// Dense ground-atom id → its slot (meaningful for mentioned atoms only).
+  std::vector<AtomSlot> atom_slots;
   /// Minimal models of the components by (component, world content); one
   /// byte cap for all components. Internally synchronized.
   mutable ModelMemo memo;
@@ -194,6 +207,7 @@ class CnfCache {
     return cache_.ApproxBytes([](const FrozenCnf& f) {
       size_t bytes = f.atom_component.size() * sizeof(int) +
                      f.atom_var.size() * sizeof(sat::Var) +
+                     f.atom_slots.size() * sizeof(FrozenCnf::AtomSlot) +
                      f.memo.approx_bytes();
       for (const CnfComponent& c : f.components) {
         bytes += c.prefix.arena_words() * sizeof(uint32_t) +

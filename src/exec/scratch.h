@@ -4,55 +4,64 @@
 /// \file
 /// Per-worker world scratch for the τ fan-out.
 ///
-/// The μ/SAT enumerator used to allocate ~15 member vectors plus a model
-/// materializer per world; on small worlds that constant factor dominated the
-/// actual solving. A WorldScratch owns those buffers and is pooled per worker
-/// id — exactly like the per-worker sat::Solver pools of exec/pool — so one
-/// world's enumeration borrows warm, already-sized storage and the next world
-/// on the same worker reuses it. A scratch is owned by one worker at a time;
-/// nothing here is thread-safe or meant to be shared.
+/// The μ/SAT enumerator used to allocate ~15 member vectors per world; on
+/// small worlds that constant factor dominated the actual solving. A
+/// WorldScratch owns those buffers and is pooled per worker id — exactly like
+/// the per-worker sat::Solver pools of exec/pool — so one world's
+/// enumeration borrows warm, already-sized storage and the next world on the
+/// same worker reuses it. A scratch is owned by one worker at a time; nothing
+/// here is thread-safe or meant to be shared.
 ///
-/// The element types are plain ints / bytes (atom ids, sat::Var and sat::Lit
-/// are all int typedefs), keeping exec/ free of core/ and sat/ dependencies.
-/// Strategy-private cached state with a real type — the μ/SAT enumerator's
-/// ModelMaterializer — parks behind the type-erased Attachment slot.
+/// The element types are plain values (atom ids, sat::Var and sat::Lit are
+/// all int typedefs; domain values and tuple edits come from rel/), keeping
+/// exec/ free of core/ and sat/ dependencies.
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "rel/overlay.h"
+
 namespace kbt::exec {
+
+struct ComponentModels;
 
 /// Reusable per-world buffers, keyed by worker id by the τ executor. μ borrows
 /// one exclusively for the duration of a world's update (MuExecContext).
 struct WorldScratch {
-  /// Base class for strategy-owned cached state exec/ must not know the type
-  /// of. Owners downcast (dynamic_cast) and replace the slot when the type is
-  /// not theirs.
-  struct Attachment {
-    virtual ~Attachment() = default;
-  };
+  // --- Delta world step: the world's domain, derived from its overlay. ---
+  std::vector<Value> active_domain;    ///< adom of the world being updated.
+  std::vector<std::pair<Value, int>> value_changes;  ///< Its delta's occurrences.
+  std::vector<Value> domain;           ///< adom ∪ consts(φ): the CNF key.
 
   // --- μ/SAT enumerator per-world tables (sized per grounding). ---
   std::vector<int> old_atoms;          ///< Component atom ids over σ(db).
   std::vector<int> new_atoms;          ///< Component atom ids outside σ(db).
   std::vector<int8_t> atom_state;      ///< Atom id → memo-key byte (flags).
-  std::vector<int> unit_atoms;         ///< Atoms with a literal unit, in order.
   std::string memo_key;                ///< Component memo key under construction.
   std::vector<int8_t> component_moved; ///< Component → a unit leaves a default.
-  std::vector<int8_t> default_value;   ///< Atom id → default-world value.
   std::vector<int8_t> value;           ///< Atom id → current model snapshot.
   std::vector<int8_t> node_value;      ///< Circuit-evaluation scratch.
 
-  // --- Incremental default evaluation (PR 7): the previous world's defaults
-  // and circuit evaluation, valid for the grounding identified by eval_owner.
-  // When the next world on this worker shares that grounding, only the
-  // changed-default cone of the circuit is re-evaluated. ---
-  std::vector<int8_t> prev_default;    ///< Defaults node_value was computed at.
-  std::vector<int> dirty_atoms;        ///< Atoms whose default changed.
+  // --- The world's defaults as a patch of the base's (core/mu_sat.cc):
+  // atom_state holds state_owner's base bytes with the `patched` atoms set
+  // from the last world's delta, and node_value is the circuit evaluated
+  // under those defaults for the grounding eval_owner. The next world of the
+  // same base reverts the patch and applies its own, and re-evaluates only
+  // the cone of both patches. ---
+  std::vector<int> patched;            ///< Atoms the last world's delta set.
+  std::vector<int> dirty_atoms;        ///< Atoms whose default may have changed.
   std::vector<int> eval_heap;          ///< ReevaluateInto worklist scratch.
-  std::shared_ptr<const void> eval_owner;  ///< Grounding node_value belongs to.
+  std::shared_ptr<const void> state_owner;  ///< Base bytes atom_state holds.
+  std::shared_ptr<const void> eval_owner;   ///< Grounding node_value belongs to.
+
+  // --- Product models: the picked components and each model's edits. ---
+  std::vector<std::shared_ptr<const ComponentModels>> models;
+  std::vector<uint32_t> pick;          ///< Odometer over `models`.
+  std::vector<TupleEdit> free_edits;   ///< Free literals the world disagrees with.
+  std::vector<TupleEdit> edits;        ///< One product model's deviations.
 
   // --- μ/SAT descend-and-block loop scratch. ---
   std::vector<int> deviating;          ///< Atoms deviating from the default.
@@ -60,10 +69,6 @@ struct WorldScratch {
   std::vector<int> core_lits;          ///< Blocking-core literals (sat::Lit).
   std::vector<int> assumption_lits;    ///< Assumption vector (sat::Lit).
   std::vector<int> retired_acts;       ///< Activation vars awaiting retirement.
-
-  /// Strategy-private slot (the μ/SAT enumerator's ModelMaterializer lives
-  /// here so its group/merge buffers survive across worlds too).
-  std::unique_ptr<Attachment> attachment;
 };
 
 }  // namespace kbt::exec

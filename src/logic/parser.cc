@@ -161,6 +161,28 @@ class Parser {
                               (Peek().text.empty() ? "" : " ('" + Peek().text + "')"));
   }
 
+  /// Counts one level of the grammar's recursion — a '!', a '(', a
+  /// quantifier body or the right operand of '->' — for the life of the
+  /// guard. Past kMaxFormulaNesting the parse fails with kParseError instead
+  /// of recursing on: the call stack, and every recursive walker over the
+  /// formula after it, stays bounded whatever the input.
+  class Nesting {
+   public:
+    explicit Nesting(Parser* parser) : parser_(parser) { ++parser_->depth_; }
+    ~Nesting() { --parser_->depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+    Status Check() const {
+      if (parser_->depth_ <= kMaxFormulaNesting) return Status::OK();
+      return parser_->Error("formula nests deeper than " +
+                            std::to_string(kMaxFormulaNesting) + " levels");
+    }
+
+   private:
+    Parser* parser_;
+  };
+
   StatusOr<Formula> ParseIff() {
     KBT_ASSIGN_OR_RETURN(Formula lhs, ParseImplies());
     while (Eat(TokenKind::kDArrow)) {
@@ -173,6 +195,8 @@ class Parser {
   StatusOr<Formula> ParseImplies() {
     KBT_ASSIGN_OR_RETURN(Formula lhs, ParseOr());
     if (Eat(TokenKind::kArrow)) {
+      Nesting nesting(this);
+      KBT_RETURN_IF_ERROR(nesting.Check());
       KBT_ASSIGN_OR_RETURN(Formula rhs, ParseImplies());  // Right associative.
       return Implies(std::move(lhs), std::move(rhs));
     }
@@ -201,6 +225,8 @@ class Parser {
 
   StatusOr<Formula> ParseUnary() {
     if (Eat(TokenKind::kNot)) {
+      Nesting nesting(this);
+      KBT_RETURN_IF_ERROR(nesting.Check());
       KBT_ASSIGN_OR_RETURN(Formula inner, ParseUnary());
       return Not(std::move(inner));
     }
@@ -223,6 +249,8 @@ class Parser {
     if (!Eat(TokenKind::kColon)) {
       return Error("expected ':' or '.' after quantified variables");
     }
+    Nesting nesting(this);
+    KBT_RETURN_IF_ERROR(nesting.Check());
     for (Symbol v : vars) scopes_.push_back(v);
     StatusOr<Formula> body = ParseIff();
     scopes_.resize(scopes_.size() - vars.size());
@@ -232,6 +260,8 @@ class Parser {
 
   StatusOr<Formula> ParsePrimary() {
     if (Eat(TokenKind::kLParen)) {
+      Nesting nesting(this);
+      KBT_RETURN_IF_ERROR(nesting.Check());
       KBT_ASSIGN_OR_RETURN(Formula inner, ParseIff());
       if (!Eat(TokenKind::kRParen)) return Error("expected ')'");
       return inner;
@@ -289,6 +319,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   std::vector<Symbol> scopes_;  // Stack of bound variables.
+  size_t depth_ = 0;            // Open Nesting levels.
 };
 
 }  // namespace

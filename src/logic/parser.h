@@ -23,6 +23,7 @@
 /// identifier in term position names a *variable* iff an enclosing quantifier binds
 /// it; otherwise it names a domain constant. Numbers are constants.
 
+#include <cstddef>
 #include <string_view>
 
 #include "base/status.h"
@@ -30,8 +31,17 @@
 
 namespace kbt {
 
+/// How deep a formula may nest: '!' chains, parentheses, quantifier bodies
+/// and right-nested '->' count together. A deeper input fails with
+/// kParseError. The bound holds wherever text is parsed — client requests,
+/// transformation expressions and WAL replay alike — so no input reaches a
+/// recursion deeper than this. Every record committed since the bound exists
+/// was parsed under it, so it replays.
+inline constexpr size_t kMaxFormulaNesting = 1000;
+
 /// Parses one formula; trailing input is an error. Returns kParseError with a
-/// position-annotated message on malformed input.
+/// position-annotated message on malformed input or nesting deeper than
+/// kMaxFormulaNesting.
 StatusOr<Formula> ParseFormula(std::string_view text);
 
 /// Parses a formula and additionally checks it is a sentence (no free variables),

@@ -220,6 +220,95 @@ WorldOverlay WorldOverlay::Compose(const WorldOverlay& first,
   return out;
 }
 
+bool WorldOverlay::Holds(const Database& base, size_t pos,
+                         TupleView t) const {
+  if (const RelationDelta* d = FindDelta(pos)) {
+    if (d->adds.Contains(t)) return true;
+    if (d->dels.Contains(t)) return false;
+  }
+  return base.relation_at(pos).Contains(t);
+}
+
+namespace {
+
+/// `rows` with the tuples of `edits` (one position, sorted by tuple) decided
+/// by the edits: an edited tuple is in the result iff `keep(edit)`, every
+/// other row stays. Returns `rows` itself (shared storage) when nothing
+/// changes.
+template <typename Keep>
+Relation MergeEdits(const Relation& rows, std::span<const TupleEdit> edits,
+                    size_t arity, Keep keep) {
+  auto walk = [&](auto&& emit) {
+    size_t r = 0, e = 0;
+    bool changed = false;
+    while (r < rows.size() || e < edits.size()) {
+      int c = r == rows.size()    ? 1
+              : e == edits.size() ? -1
+                                  : CompareValues(rows[r].data(),
+                                                  edits[e].tuple.data(), arity);
+      if (c < 0) {
+        emit(rows[r++]);
+        continue;
+      }
+      const bool in = keep(edits[e]);
+      if (in) emit(edits[e].tuple);
+      if (c == 0) ++r;
+      changed = changed || in != (c == 0);
+      ++e;
+    }
+    return changed;
+  };
+  if (!walk([](TupleView) {})) return rows;
+  Relation::Builder b(arity);
+  walk([&](TupleView t) { b.Append(t); });
+  return b.Build();
+}
+
+}  // namespace
+
+WorldOverlay WorldOverlay::WithEdits(const Database& base,
+                                     std::span<const TupleEdit> edits) const {
+  if (edits.empty()) return *this;
+  WorldOverlay out;
+  out.deltas_.reserve(deltas_.size() + edits.size());
+  size_t i = 0, j = 0;
+  while (i < deltas_.size() || j < edits.size()) {
+    if (j == edits.size() ||
+        (i < deltas_.size() && deltas_[i].pos < edits[j].pos)) {
+      out.deltas_.push_back(deltas_[i++]);
+      continue;
+    }
+    const uint32_t pos = edits[j].pos;
+    size_t end = j;
+    while (end < edits.size() && edits[end].pos == pos) ++end;
+    std::span<const TupleEdit> group = edits.subspan(j, end - j);
+    j = end;
+    const Relation& b = base.relation_at(pos);
+    const size_t arity = b.arity();
+    RelationDelta d;
+    d.pos = pos;
+    if (i < deltas_.size() && deltas_[i].pos == pos) {
+      d.adds = deltas_[i].adds;
+      d.dels = deltas_[i].dels;
+      ++i;
+    } else {
+      d.adds = Relation(arity);
+      d.dels = Relation(arity);
+    }
+    // A tuple set true is an add unless the base holds it; one set false is
+    // a del iff the base holds it. Either way the edit replaces whatever the
+    // old delta said about the tuple, which keeps both invariants.
+    d.adds = MergeEdits(d.adds, group, arity, [&](const TupleEdit& e) {
+      return e.value && !b.Contains(e.tuple);
+    });
+    d.dels = MergeEdits(d.dels, group, arity, [&](const TupleEdit& e) {
+      return !e.value && b.Contains(e.tuple);
+    });
+    if (!d.empty()) out.deltas_.push_back(std::move(d));
+  }
+  return out;
+}
+
 const RelationDelta* WorldOverlay::FindDelta(size_t pos) const {
   auto it = std::lower_bound(deltas_.begin(), deltas_.end(), pos,
                              [](const RelationDelta& d, size_t p) {

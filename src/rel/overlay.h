@@ -19,6 +19,7 @@
 /// canonicalization O(worlds × delta).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "base/status.h"
@@ -41,6 +42,14 @@ struct RelationDelta {
   friend bool operator!=(const RelationDelta& a, const RelationDelta& b) {
     return !(a == b);
   }
+};
+
+/// One tuple of a world set to a truth value: the unit of
+/// WorldOverlay::WithEdits. `tuple` is borrowed.
+struct TupleEdit {
+  uint32_t pos = 0;  ///< Schema position of the tuple's relation.
+  TupleView tuple;
+  bool value = false;
 };
 
 /// (base ∪ adds) \ dels in one stride-aware merge pass. `adds` must be
@@ -85,6 +94,19 @@ class WorldOverlay {
   /// per position — no base access needed. O(delta1 + delta2).
   static WorldOverlay Compose(const WorldOverlay& first,
                               const WorldOverlay& second);
+
+  /// True iff the world this overlay denotes over `base` holds `t` at schema
+  /// position `pos`: the delta's adds and dels decide, else the base
+  /// relation. O(log) with no allocation and no materialized world.
+  bool Holds(const Database& base, size_t pos, TupleView t) const;
+
+  /// The canonical overlay, relative to `base`, of this overlay's world with
+  /// every edited tuple set to its value. `edits` must be sorted by
+  /// (pos, tuple) with no tuple twice, at positions of `base`. Positions no
+  /// edit touches keep their delta handles; a touched delta is rebuilt only
+  /// when it changes. O(delta + edits · log base).
+  WorldOverlay WithEdits(const Database& base,
+                         std::span<const TupleEdit> edits) const;
 
   /// True iff the overlay changes nothing.
   bool identity() const { return deltas_.empty(); }

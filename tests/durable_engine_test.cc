@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "logic/parser.h"
 #include "store/fault_env.h"
 #include "store/recovery.h"
 #include "testutil.h"
@@ -92,6 +93,35 @@ TEST(DurableEngineTest, FailedApplyCommitsNothing) {
   auto reopened = MustOpen("db", Knowledgebase(testutil::TestSchema()),
                            WithEnv(&env));
   EXPECT_EQ(reopened->kb(), InitialKb());
+}
+
+TEST(DurableEngineTest, RecordAtTheNestingBoundReplays) {
+  // kMaxFormulaNesting levels in all (parentheses around a double negation),
+  // the deepest sentence the parser accepts, so the deepest a committed
+  // record can be; one level more is refused before the log.
+  auto nested = [](size_t parens) {
+    return "tau{ " + std::string(parens, '(') + "!!P(a)" +
+           std::string(parens, ')') + " }";
+  };
+  FaultInjectionEnv env;
+  Knowledgebase after{Schema()};
+  {
+    auto store = MustOpen("db", InitialKb(), WithEnv(&env));
+    auto deep = store->Apply(nested(kMaxFormulaNesting - 2));
+    ASSERT_TRUE(deep.ok()) << deep.status().message();
+    auto deeper = store->Apply(nested(kMaxFormulaNesting - 1));
+    ASSERT_FALSE(deeper.ok());
+    EXPECT_EQ(deeper.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(store->lsn(), 1u);
+    after = store->kb();
+    EXPECT_NE(after, InitialKb());
+  }
+  env.Crash();
+  env.RecoverFromCrash();
+  auto reopened = MustOpen("db", Knowledgebase(testutil::TestSchema()),
+                           WithEnv(&env));
+  EXPECT_EQ(reopened->lsn(), 1u);
+  EXPECT_EQ(reopened->kb(), after);
 }
 
 TEST(DurableEngineTest, TupleDeltasRoundTripThroughCrash) {

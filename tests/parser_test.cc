@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "logic/analysis.h"
 #include "logic/printer.h"
 
@@ -110,6 +112,62 @@ TEST(ParserTest, RoundTripThroughPrinter) {
     Formula f2 = *ParseFormula(ToString(f1));
     EXPECT_TRUE(StructurallyEqual(f1, f2)) << text << " vs " << ToString(f1);
   }
+}
+
+/// `depth` levels of each construct the nesting bound counts.
+std::string Nested(const std::string& kind, size_t depth) {
+  std::string text;
+  if (kind == "paren") {
+    return std::string(depth, '(') + "P(a)" + std::string(depth, ')');
+  }
+  if (kind == "not") return std::string(depth, '!') + "P(a)";
+  for (size_t i = 0; i < depth; ++i) {
+    text += kind == "implies" ? "P(a) -> "
+                              : "forall x" + std::to_string(i) + ": ";
+  }
+  return text + "P(a)";
+}
+
+TEST(ParserTest, NestingBoundParsesTheCapAndRejectsOneMore) {
+  for (const std::string kind : {"paren", "not", "implies", "quantifier"}) {
+    EXPECT_TRUE(ParseSentence(Nested(kind, kMaxFormulaNesting)).ok()) << kind;
+    StatusOr<Formula> deeper =
+        ParseSentence(Nested(kind, kMaxFormulaNesting + 1));
+    ASSERT_FALSE(deeper.ok()) << kind;
+    EXPECT_EQ(deeper.status().code(), StatusCode::kParseError) << kind;
+    EXPECT_NE(deeper.status().message().find("nests deeper"), std::string::npos)
+        << deeper.status().ToString();
+  }
+}
+
+TEST(ParserTest, NestingBoundCountsEveryConstructTogether) {
+  // Half the cap of parentheses around half the cap of negations is at the
+  // cap; one more of either kind is over it.
+  const size_t half = kMaxFormulaNesting / 2;
+  auto mixed = [](size_t parens, size_t nots) {
+    return std::string(parens, '(') + std::string(nots, '!') + "P(a)" +
+           std::string(parens, ')');
+  };
+  EXPECT_TRUE(ParseFormula(mixed(half, kMaxFormulaNesting - half)).ok());
+  EXPECT_EQ(ParseFormula(mixed(half + 1, kMaxFormulaNesting - half))
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  // Siblings do not add up: the depth is released after each operand.
+  std::string wide;
+  for (int i = 0; i < 4; ++i) {
+    if (i > 0) wide += " & ";
+    wide += Nested("paren", kMaxFormulaNesting);
+  }
+  EXPECT_TRUE(ParseFormula(wide).ok());
+}
+
+TEST(ParserTest, DeepInputFailsTypedInsteadOfOverflowingTheStack) {
+  // 60,000 parentheses: far past the bound, and deep enough to exhaust an
+  // 8 MiB stack without it.
+  StatusOr<Formula> f = ParseFormula(Nested("paren", 60000));
+  ASSERT_FALSE(f.ok());
+  EXPECT_EQ(f.status().code(), StatusCode::kParseError);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end smoke run over a real TCP socket: start kbt_server on a free
 # port, drive it with kbt_client (ping / apply / query / counterfactual /
-# stats), then SIGTERM it and require a clean drain. Registered as the
+# stats, and a query nested past the parser's bound), then SIGTERM it and
+# require a clean drain. Registered as the
 # `net_smoke` ctest; fails loudly on any wrong answer, bad exit code, or a
 # server that does not drain within the timeout.
 #
@@ -33,6 +34,15 @@ expect() {  # expect DESCRIPTION EXPECTED_OUTPUT cmd args...
   esac
 }
 
+expect_error() {  # expect_error DESCRIPTION EXPECTED_OUTPUT cmd args...
+  desc="$1"; want="$2"; shift 2
+  got="$("$@" 2>&1)" && fail "$desc: exit 0, wanted an error; output: $got"
+  case "$got" in
+    *"$want"*) ;;
+    *) fail "$desc: wanted '$want' in: $got" ;;
+  esac
+}
+
 "$SERVER" --init "P/1 Q/2" --store "$WORK/db" --port 0 >"$SERVER_LOG" 2>&1 &
 SERVER_PID=$!
 
@@ -57,6 +67,14 @@ expect "possibly"        "true"  $C possibly "P(a)"
 expect "counterfactual"  "true"  $C if "P(b) => P(b) & P(a)"
 expect "deadline read"   "true"  $C --deadline 60000 query "P(a)"
 expect "stats"           "commits" $C stats
+
+# A query nested 60,000 parentheses deep (about 120 KB, far below the frame
+# cap) gets the parser's typed error; the server keeps answering.
+PARENS="$(head -c 60000 /dev/zero | tr '\0' '(')"
+CLOSES="$(head -c 60000 /dev/zero | tr '\0' ')')"
+expect_error "deep query"  "parse-error" $C query "${PARENS}P(a)${CLOSES}"
+expect "ping after deep" "pong"  $C ping
+expect "read after deep" "true"  $C query "P(a)"
 
 kill -TERM "$SERVER_PID"
 i=0
