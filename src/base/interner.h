@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -45,8 +46,17 @@ class Interner {
   size_t size() const;
 
  private:
+  /// Hashes a name as a string_view, so lookups take one without building a
+  /// std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Symbol> index_;
+  std::unordered_map<std::string, Symbol, NameHash, std::equal_to<>> index_;
   /// Deque, not vector: NameOf hands out references that must survive
   /// concurrent interning from executor workers (deque never relocates
   /// existing elements on growth).

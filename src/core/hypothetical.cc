@@ -24,31 +24,36 @@ class ConsequentCheck {
     if (!ground_) constants_ = ConstantsOf(consequent);
   }
 
-  /// Folds the modality over the worlds of `kb`. `cancel` (nullable) is
-  /// polled per world — a chain may yield many worlds.
-  StatusOr<bool> Holds(Knowledgebase kb, Modality modality,
+  /// Folds the modality over the worlds of `worlds`, which is borrowed (a
+  /// serving read's snapshot is shared with every concurrent read of it).
+  /// `cancel` (nullable) is polled per world — a chain may yield many worlds.
+  StatusOr<bool> Holds(const Knowledgebase& worlds, Modality modality,
                        const CancelToken* cancel) const {
     if (!schema_.ok()) return schema_.status();
     const Schema& consequent_schema = *schema_;
+    const Knowledgebase* checked = &worlds;
+    std::optional<Knowledgebase> extended_kb;
     // The consequent may mention relations the updates introduced; those are
     // empty in every world (closed world), and one at another arity than
     // the kb's is an error.
-    if (!kb.schema().Includes(consequent_schema)) {
+    if (!worlds.schema().Includes(consequent_schema)) {
       if (ground_) {
         // A ground consequent reads only the tuples it names, so it checks
         // each world's overlay as it is and needs no extended kb.
         for (const RelationDecl& decl : consequent_schema.decls()) {
-          std::optional<size_t> arity = kb.schema().ArityOf(decl.symbol);
+          std::optional<size_t> arity = worlds.schema().ArityOf(decl.symbol);
           if (arity && *arity != decl.arity) {
-            return kb.schema().Union(consequent_schema).status();
+            return worlds.schema().Union(consequent_schema).status();
           }
         }
       } else {
         KBT_ASSIGN_OR_RETURN(Schema extended,
-                             kb.schema().Union(consequent_schema));
-        KBT_ASSIGN_OR_RETURN(kb, kb.ExtendTo(extended));
+                             worlds.schema().Union(consequent_schema));
+        KBT_ASSIGN_OR_RETURN(Knowledgebase kb, worlds.ExtendTo(extended));
+        checked = &extended_kb.emplace(std::move(kb));
       }
     }
+    const Knowledgebase& kb = *checked;
     bool all = true;
     bool some = false;
     for (size_t i = 0; i < kb.size(); ++i) {
@@ -137,12 +142,14 @@ StatusOr<bool> NestedCounterfactual(const Knowledgebase& kb,
                                     const std::vector<Formula>& antecedents,
                                     const Formula& consequent, Modality modality,
                                     const MuOptions& options) {
-  Knowledgebase current = kb;
+  // The input is borrowed; each step owns only the kb it produces.
+  const Knowledgebase* current = &kb;
+  Knowledgebase produced;
   for (const Formula& a : antecedents) {
-    KBT_ASSIGN_OR_RETURN(current, Tau(a, current, options));
+    KBT_ASSIGN_OR_RETURN(produced, Tau(a, *current, options));
+    current = &produced;
   }
-  return ConsequentCheck(consequent).Holds(std::move(current), modality,
-                                           options.cancel);
+  return ConsequentCheck(consequent).Holds(*current, modality, options.cancel);
 }
 
 StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
@@ -152,7 +159,11 @@ StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
                                         const TauOptions& options,
                                         TauStats* stats) {
   const ConsequentCheck check(consequent);
-  Knowledgebase current = kb;
+  // The snapshot is borrowed, never copied: a copy would write its shared
+  // reference counts, which every concurrent read of it writes too. Each
+  // step owns only the kb it produces.
+  const Knowledgebase* current = &kb;
+  Knowledgebase produced;
   for (const ChainStep& step : steps) {
     // Between chain steps is the coarsest useful cancellation boundary: each
     // τ may fan a world-set out by orders of magnitude. (τ itself re-checks
@@ -168,9 +179,10 @@ StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
     // Tau merges μ counters into whatever stats object arrives, so passing
     // the same one per step accumulates across the chain.
     if (&step != &steps.back()) {
-      KBT_ASSIGN_OR_RETURN(current,
+      KBT_ASSIGN_OR_RETURN(produced,
                            internal::TauExec(*step.antecedent, step.split,
-                                             current, step_options, stats));
+                                             *current, step_options, stats));
+      current = &produced;
       continue;
     }
     // The last step is never merged: τ distributes over the input worlds (KM
@@ -180,17 +192,16 @@ StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
     KBT_ASSIGN_OR_RETURN(
         bool decided,
         internal::ForEachTauWorld(
-            *step.antecedent, step.split, current, step_options, stats,
+            *step.antecedent, step.split, *current, step_options, stats,
             [&](size_t, Knowledgebase mu) -> StatusOr<bool> {
               KBT_ASSIGN_OR_RETURN(
-                  bool holds,
-                  check.Holds(std::move(mu), modality, options.mu.cancel));
+                  bool holds, check.Holds(mu, modality, options.mu.cancel));
               return holds != neutral;
             }));
     return decided != neutral;
   }
   // Only an empty chain gets here: a plain modal query.
-  return check.Holds(std::move(current), modality, options.mu.cancel);
+  return check.Holds(*current, modality, options.mu.cancel);
 }
 
 StatusOr<bool> Counterfactual(const Knowledgebase& kb, const Formula& antecedent,

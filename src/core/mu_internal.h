@@ -87,6 +87,11 @@ struct MuExecContext {
   /// σ(kb) ∪ σ(φ), of which every world is an overlay. MuSatWorld updates a
   /// world through it without materializing the world; null outside τ.
   WorldDeltaBase* delta = nullptr;
+  /// Set by τ's world loop, which empties scratch's entry slot at the start
+  /// of the call (WorldScratch::ForgetEntry): μ/SAT then looks its CNF entry
+  /// up once per run of worlds with one domain and cache, reuses it for the
+  /// rest, and counts every world's lookup (reuses as hits) in the slot.
+  bool call_entry = false;
 };
 
 /// Resolves the kAuto dispatch of `sentence` against the schema of `probe`

@@ -67,7 +67,11 @@ constexpr int8_t kUnitTrue = kAtomUnitTrue;
 /// each product model's overlay is the world's overlay edited at the model's
 /// deviations. Per-world tables and loop scratch live in a WorldScratch — the
 /// executor's per-worker pool when provided, a local one otherwise — so
-/// consecutive worlds on one worker reuse warm buffers.
+/// consecutive worlds on one worker reuse warm buffers. A provided scratch
+/// also holds the worker's τ-call entry and its private memo view, so a world
+/// whose entry and component models the worker has seen takes no lock and
+/// writes no reference count that a concurrent session reading the same
+/// bank entry also writes.
 class SatEnumerator {
  public:
   SatEnumerator(WorldDeltaBase& delta, const WorldOverlay& world,
@@ -98,9 +102,34 @@ class SatEnumerator {
     exec::CnfCache* cnf_cache = exec_.cnf_cache;
     if (cnf_cache == nullptr) cnf_cache = &call_cache.emplace();
     const bool memoize = exec_.cnf_cache != nullptr;
-    KBT_ASSIGN_OR_RETURN(
-        std::shared_ptr<const exec::FrozenCnf> frozen,
-        cnf_cache->GetOrBuild(sentence, domain_, gopts, exec_.ground_cache));
+    std::shared_ptr<const exec::FrozenCnf> looked_up;
+    const std::shared_ptr<const exec::FrozenCnf>* entry = &looked_up;
+    if (memoize && exec_.call_entry) {
+      // One lookup per run of worlds with this domain and cache in the τ
+      // call; each later world reuses the entry and counts as the hit its
+      // own lookup would have been.
+      if (s_.entry != nullptr && s_.entry_cache == cnf_cache &&
+          s_.entry_domain == domain_) {
+        ++s_.entry_hits;
+      } else {
+        s_.entry.reset();
+        bool hit = false;
+        StatusOr<std::shared_ptr<const exec::FrozenCnf>> got =
+            cnf_cache->GetOrBuild(sentence, domain_, gopts, exec_.ground_cache,
+                                  &hit);
+        ++(hit ? s_.entry_hits : s_.entry_misses);
+        KBT_RETURN_IF_ERROR(got.status());
+        s_.entry_cache = cnf_cache;
+        s_.entry_domain = domain_;
+        s_.entry = *std::move(got);
+      }
+      entry = &s_.entry;
+    } else {
+      KBT_ASSIGN_OR_RETURN(
+          looked_up,
+          cnf_cache->GetOrBuild(sentence, domain_, gopts, exec_.ground_cache));
+    }
+    const std::shared_ptr<const exec::FrozenCnf>& frozen = *entry;
     frozen_ = frozen.get();
     grounding_ = &frozen->grounding;
     mentioned_ = &frozen->grounding->mentioned;
@@ -149,12 +178,23 @@ class SatEnumerator {
             frozen->atom_component[static_cast<size_t>(a)])] = 1;
       }
     }
-    // Every other component's models: from the memo, or enumerated and
-    // stored. A component without models empties μ at once. One that
-    // overflows max_models fails the call unless a later component has no
-    // models.
-    std::vector<std::shared_ptr<const exec::ComponentModels>>& models =
-        s_.models;
+    // Every other component's models: from the worker's memo view, the
+    // entry's shared memo, or enumerated and stored in both. A component
+    // without models empties μ at once. One that overflows max_models fails
+    // the call unless a later component has no models. A view needs a
+    // scratch that outlives this world; a hit in it takes no lock and no
+    // shared reference count.
+    exec::MemoView* view =
+        memoize && exec_.scratch != nullptr ? &s_.memo_view : nullptr;
+    if (view != nullptr) view->Open(frozen);
+    s_.held_models.clear();
+    auto keep = [&](std::shared_ptr<const exec::ComponentModels> found) {
+      const exec::ComponentModels* models = found.get();
+      if (view != nullptr) view->Insert(s_.memo_key, found);
+      s_.held_models.push_back(std::move(found));
+      return models;
+    };
+    std::vector<const exec::ComponentModels*>& models = s_.models;
     models.clear();
     Status overflow;
     for (size_t c = 0; c < k; ++c) {
@@ -166,7 +206,7 @@ class SatEnumerator {
                       })) {
         continue;
       }
-      std::shared_ptr<const exec::ComponentModels> found;
+      const exec::ComponentModels* found = nullptr;
       if (memoize) {
         // Key: the component's index, then one state byte per atom.
         std::string& key = s_.memo_key;
@@ -176,7 +216,12 @@ class SatEnumerator {
           key.push_back(
               static_cast<char>(s_.atom_state[static_cast<size_t>(a)]));
         }
-        found = frozen->memo.Find(key);
+        if (view != nullptr) found = view->Find(key);
+        if (found == nullptr) {
+          std::shared_ptr<const exec::ComponentModels> shared =
+              frozen->memo.Find(key);
+          if (shared != nullptr) found = keep(std::move(shared));
+        }
       }
       if (found == nullptr) {
         StatusOr<std::shared_ptr<const exec::ComponentModels>> enumerated =
@@ -188,11 +233,11 @@ class SatEnumerator {
           overflow = enumerated.status();
           continue;
         }
-        found = *std::move(enumerated);
-        if (memoize) frozen->memo.Insert(s_.memo_key, found);
+        if (memoize) frozen->memo.Insert(s_.memo_key, *enumerated);
+        found = keep(*std::move(enumerated));
       }
       if (found->size() == 0) return Knowledgebase(base.schema());
-      models.push_back(std::move(found));
+      models.push_back(found);
     }
     KBT_RETURN_IF_ERROR(overflow);
     size_t total = 1;
@@ -260,13 +305,13 @@ class SatEnumerator {
     const Grounding& g = (*grounding_)->grounding;
     std::vector<int8_t>& state = s_.atom_state;
     std::vector<int>& dirty = s_.dirty_atoms;
-    const bool evaluated = s_.eval_owner.get() == grounding_->get() &&
+    const bool evaluated = s_.defaults_valid &&
+                           s_.eval_owner.get() == grounding_->get() &&
                            state.size() == g.atoms.size() &&
                            s_.node_value.size() == g.circuit.size();
     const bool same_base = evaluated && s_.state_owner == defaults;
     // Invalid until both are consistent again.
-    s_.eval_owner.reset();
-    s_.state_owner.reset();
+    s_.defaults_valid = false;
     dirty.clear();
     if (same_base) {
       for (int a : s_.patched) {
@@ -298,8 +343,11 @@ class SatEnumerator {
     } else {
       g.circuit.EvaluateAllInto(g.root, default_of, &s_.node_value);
     }
-    s_.eval_owner = *grounding_;
-    s_.state_owner = defaults;
+    // Reassigned only on a change: the grounding is shared with every other
+    // session reading the entry, and its reference count with them.
+    if (s_.eval_owner != *grounding_) s_.eval_owner = *grounding_;
+    if (s_.state_owner != defaults) s_.state_owner = defaults;
+    s_.defaults_valid = true;
   }
 
   /// Enumerates component `c`'s minimal models under this world's defaults

@@ -132,11 +132,13 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
                                     : &local_ground_cache;
   exec::CnfCache* cnf_cache =
       options.cnf_cache != nullptr ? options.cnf_cache : &local_cnf_cache;
-  // Stats report this call's contribution: external caches arrive warm (and
-  // may be advanced concurrently by sibling calls), so snapshot and diff.
+  // Stats report this call's contribution: an external grounding cache
+  // arrives warm (and may be advanced concurrently by sibling calls), so
+  // snapshot and diff. CNF lookups are counted exactly, per worker, in the
+  // scratches' entry slots.
   exec::GroundingCache::Stats ground_stats_before = cache->stats();
-  exec::CnfCache::Stats cnf_stats_before = cnf_cache->stats();
   internal::MuExecContext base_exec;
+  base_exec.call_entry = true;
   // The probe context above validated (φ, schema); per-world update contexts
   // reuse its schema and φ's constants instead of re-deriving both per world.
   std::vector<Value> formula_constants = ConstantsOf(sentence);
@@ -241,10 +243,13 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
                                             : &local_solver.emplace();
     exec.scratch = options.scratch != nullptr ? options.scratch
                                               : &local_scratch.emplace();
+    exec.scratch->ForgetEntry();
     for (size_t i = 0; i < kb.size() && !stop.load(std::memory_order_relaxed);
          ++i) {
       run_world(i, exec);
     }
+    out->cnf_cache_hits = exec.scratch->entry_hits;
+    out->cnf_cache_misses = exec.scratch->entry_misses;
     out->threads_used = 1;
   } else {
     // Each worker owns a Solver reused (via Reset or a frozen-prefix fork)
@@ -283,23 +288,22 @@ StatusOr<bool> RunWorldLoop(const Formula& sentence,
                     [](const Status& s) { return s.ok(); })) {
       return pool_status;
     }
+    out->cnf_cache_hits = 0;
+    out->cnf_cache_misses = 0;
+    for (const std::unique_ptr<exec::WorldScratch>& scratch : scratches) {
+      out->cnf_cache_hits += scratch->entry_hits;
+      out->cnf_cache_misses += scratch->entry_misses;
+    }
     out->threads_used = std::min(workers, kb.size());
   }
 
   exec::GroundingCache::Stats cache_stats = cache->stats();
   out->ground_cache_hits = cache_stats.hits - ground_stats_before.hits;
   out->ground_cache_misses = cache_stats.misses - ground_stats_before.misses;
-  exec::CnfCache::Stats cnf_stats = cnf_cache->stats();
-  out->cnf_cache_hits = cnf_stats.hits - cnf_stats_before.hits;
-  out->cnf_cache_misses = cnf_stats.misses - cnf_stats_before.misses;
-  // Split worlds moved onto the local caches above (unused otherwise).
+  // Split worlds moved onto the local cache above (unused otherwise).
   if (cache != &local_ground_cache) {
     out->ground_cache_hits += local_ground_cache.stats().hits;
     out->ground_cache_misses += local_ground_cache.stats().misses;
-  }
-  if (cnf_cache != &local_cnf_cache) {
-    out->cnf_cache_hits += local_cnf_cache.stats().hits;
-    out->cnf_cache_misses += local_cnf_cache.stats().misses;
   }
 
   for (const Status& s : statuses) KBT_RETURN_IF_ERROR(s);

@@ -65,42 +65,6 @@ std::vector<int> GroupConjuncts(const Circuit& circuit,
 
 }  // namespace
 
-std::shared_ptr<const ComponentModels> ModelMemo::Find(
-    std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
-  return it == map_.end() ? nullptr : it->second;
-}
-
-void ModelMemo::Insert(std::string_view key,
-                       std::shared_ptr<const ComponentModels> models) {
-  const size_t bytes = EntryBytes(key, *models);
-  if (bytes > kByteCap) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t held = bytes_.load(std::memory_order_relaxed);
-  if (held + bytes > kByteCap) {
-    map_.clear();
-    held = 0;
-  }
-  if (map_.emplace(std::string(key), std::move(models)).second) held += bytes;
-  bytes_.store(held, std::memory_order_relaxed);
-}
-
-void ModelMemo::Clear() {
-  // Swapped out under the lock, freed after it is released.
-  std::unordered_map<std::string, std::shared_ptr<const ComponentModels>,
-                     KeyHash, std::equal_to<>>
-      dropped;
-  std::lock_guard<std::mutex> lock(mu_);
-  dropped.swap(map_);
-  bytes_.store(0, std::memory_order_relaxed);
-}
-
-size_t ModelMemo::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
-}
-
 StatusOr<std::shared_ptr<const FrozenCnf>> MakeFrozenCnf(
     const Formula& sentence, const std::vector<Value>& domain,
     const GrounderOptions& options, GroundingCache* ground_cache) {

@@ -30,86 +30,29 @@
 /// old/new flags plus the literal units on them). The key names content, not
 /// a world or a snapshot, so it cannot go stale: the memo lives as long as
 /// the entry, across worlds, calls and (in the serving cache bank) snapshots.
+/// A worker reads the memo through its private MemoView (exec/model_memo.h),
+/// so a memo hit writes nothing another session's reads also write.
+///
+/// A τ call looks its entry up once per run of worlds with one domain (see
+/// WorldScratch::entry); only the first world of such a run takes the
+/// cache's locks.
 ///
 /// Like GroundingCache, one cache instance serves one sentence (the key is the
 /// domain alone) and entries are computed exactly once under concurrency —
 /// both properties come from the shared machinery in exec/once_cache.h.
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "base/status.h"
 #include "exec/ground_cache.h"
+#include "exec/model_memo.h"
 #include "exec/once_cache.h"
 #include "sat/solver.h"
 
 namespace kbt::exec {
-
-/// One component's ≤_db-minimal models under one memo key. Model i deviates
-/// from the default world on exactly deviations[begin_i, ends[i]) (begin_i =
-/// ends[i-1], or 0): its flipped old atoms, then its true new atoms, each
-/// sorted by atom id.
-struct ComponentModels {
-  std::vector<int> deviations;
-  std::vector<uint32_t> ends;
-
-  size_t size() const { return ends.size(); }
-  std::pair<const int*, const int*> Model(size_t i) const {
-    const int* base = deviations.data();
-    return {base + (i == 0 ? 0 : ends[i - 1]), base + ends[i]};
-  }
-  size_t approx_bytes() const {
-    return sizeof(ComponentModels) + deviations.capacity() * sizeof(int) +
-           ends.capacity() * sizeof(uint32_t);
-  }
-};
-
-/// A lock-guarded map from memo key to a component's minimal models, bounded
-/// by a fixed byte cap: an insert that would exceed the cap first clears the
-/// memo (keys never go stale, so dropping them only costs recomputation).
-class ModelMemo {
- public:
-  /// The models stored under `key`, or null.
-  std::shared_ptr<const ComponentModels> Find(std::string_view key) const;
-  /// Stores a complete result. A result larger than the whole cap is not kept.
-  void Insert(std::string_view key,
-              std::shared_ptr<const ComponentModels> models);
-  /// Drops every entry (in-flight readers keep the results they hold).
-  void Clear();
-
-  /// Bytes held now (keys, values and a per-entry overhead estimate).
-  size_t approx_bytes() const { return bytes_.load(std::memory_order_relaxed); }
-  size_t entries() const;
-
-  /// Bytes one memo may hold.
-  static constexpr size_t kByteCap = size_t{1} << 20;
-
- private:
-  static size_t EntryBytes(std::string_view key, const ComponentModels& models) {
-    return key.size() + models.approx_bytes() + 96;  // Node, string, control block.
-  }
-
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view key) const {
-      return std::hash<std::string_view>{}(key);
-    }
-  };
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const ComponentModels>,
-                     KeyHash, std::equal_to<>>
-      map_;
-  std::atomic<size_t> bytes_{0};
-};
 
 /// One atom-disjoint group of the root's conjuncts, encoded on its own.
 struct CnfComponent {
@@ -178,13 +121,15 @@ class CnfCache {
   /// first use. Concurrent callers with the same domain block until the one
   /// build completes. `sentence` must be the same formula on every call — the
   /// cache key deliberately omits it. `ground_cache` (optional) supplies the
-  /// shared grounding.
+  /// shared grounding. `hit` (optional) tells whether the entry existed.
   StatusOr<std::shared_ptr<const FrozenCnf>> GetOrBuild(
       const Formula& sentence, const std::vector<Value>& domain,
-      const GrounderOptions& options, GroundingCache* ground_cache) {
-    return cache_.GetOrCompute(domain, [&] {
-      return MakeFrozenCnf(sentence, domain, options, ground_cache);
-    });
+      const GrounderOptions& options, GroundingCache* ground_cache,
+      bool* hit = nullptr) {
+    return cache_.GetOrCompute(
+        domain,
+        [&] { return MakeFrozenCnf(sentence, domain, options, ground_cache); },
+        hit);
   }
 
   Stats stats() const { return cache_.stats(); }

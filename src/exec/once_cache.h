@@ -62,13 +62,16 @@ class DomainKeyedOnceCache {
   /// Returns the cached value for `domain`, computing it via `build` on first
   /// use. `build` is `StatusOr<std::shared_ptr<const V>>()`; a failed build is
   /// cached too (repeat lookups return the same status without recomputing).
+  /// `hit` (optional) is set to whether the lookup found an existing entry,
+  /// i.e. whether it counted as a hit.
   template <typename BuildFn>
   StatusOr<std::shared_ptr<const V>> GetOrCompute(
-      const std::vector<Value>& domain, BuildFn&& build) {
+      const std::vector<Value>& domain, BuildFn&& build, bool* hit = nullptr) {
     std::shared_ptr<Entry> entry;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = map_.find(domain);
+      if (hit != nullptr) *hit = it != map_.end();
       if (it == map_.end()) {
         ++stats_.misses;
         if (max_entries_ > 0 && map_.size() >= max_entries_) {

@@ -1,8 +1,10 @@
 #include "logic/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "logic/analysis.h"
@@ -27,9 +29,10 @@ enum class TokenKind {
   kEnd,
 };
 
+/// `text` views the parsed input, which outlives the tokens.
 struct Token {
   TokenKind kind;
-  std::string text;
+  std::string_view text;
   size_t pos;
 };
 
@@ -39,6 +42,8 @@ class Lexer {
 
   StatusOr<std::vector<Token>> Tokenize() {
     std::vector<Token> out;
+    // One allocation for a typical sentence; longer inputs grow as usual.
+    out.reserve(std::min<size_t>(text_.size() + 1, 64));
     size_t i = 0;
     while (i < text_.size()) {
       char c = text_[i];
@@ -54,8 +59,7 @@ class Lexer {
                 text_[i] == '_' || text_[i] == '\'')) {
           ++i;
         }
-        out.push_back({TokenKind::kIdent, std::string(text_.substr(start, i - start)),
-                       start});
+        out.push_back({TokenKind::kIdent, text_.substr(start, i - start), start});
         continue;
       }
       switch (c) {
@@ -73,7 +77,7 @@ class Lexer {
           break;
         case ':':
         case '.':
-          out.push_back({TokenKind::kColon, std::string(1, c), start});
+          out.push_back({TokenKind::kColon, text_.substr(start, 1), start});
           ++i;
           break;
         case '&':
@@ -158,7 +162,9 @@ class Parser {
   Status Error(const std::string& message) const {
     return Status::ParseError(message + " at position " +
                               std::to_string(Peek().pos) +
-                              (Peek().text.empty() ? "" : " ('" + Peek().text + "')"));
+                              (Peek().text.empty()
+                                   ? ""
+                                   : " ('" + std::string(Peek().text) + "')"));
   }
 
   /// Counts one level of the grammar's recursion — a '!', a '(', a
@@ -205,6 +211,7 @@ class Parser {
 
   StatusOr<Formula> ParseOr() {
     KBT_ASSIGN_OR_RETURN(Formula first, ParseAnd());
+    if (Peek().kind != TokenKind::kOr) return first;  // A lone operand.
     std::vector<Formula> parts{std::move(first)};
     while (Eat(TokenKind::kOr)) {
       KBT_ASSIGN_OR_RETURN(Formula next, ParseAnd());
@@ -215,6 +222,7 @@ class Parser {
 
   StatusOr<Formula> ParseAnd() {
     KBT_ASSIGN_OR_RETURN(Formula first, ParseUnary());
+    if (Peek().kind != TokenKind::kAnd) return first;  // A lone operand.
     std::vector<Formula> parts{std::move(first)};
     while (Eat(TokenKind::kAnd)) {
       KBT_ASSIGN_OR_RETURN(Formula next, ParseUnary());
@@ -279,7 +287,7 @@ class Parser {
     }
     // Atom: ident '(' ... ')'.
     if (Peek(1).kind == TokenKind::kLParen) {
-      std::string relation = Next().text;
+      std::string_view relation = Next().text;
       Next();  // '('
       std::vector<Term> args;
       if (!Eat(TokenKind::kRParen)) {
@@ -308,8 +316,7 @@ class Parser {
     if (Peek().kind != TokenKind::kIdent) {
       return Error("expected term");
     }
-    std::string name = Next().text;
-    Symbol sym = Name(name);
+    Symbol sym = Name(Next().text);
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       if (*it == sym) return Term::Var(sym);
     }

@@ -32,6 +32,7 @@
 #include "exec/cnf_cache.h"
 #include "exec/ground_cache.h"
 #include "exec/pool.h"
+#include "exec/scratch.h"
 #include "logic/analysis.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
@@ -410,7 +411,9 @@ TEST(MuComponentTest, BudgetTripStoresNothing) {
 /// (each sees up to 16 keys: two defaults times eight unit combinations,
 /// more than the bound holds): the memo stays within its fixed bound,
 /// clearing when full, and its bytes are billed in the cache's approx_bytes
-/// (which the serving bank's per-entry byte budget reads).
+/// (which the serving bank's per-entry byte budget reads). The calls share a
+/// scratch, so its private memo view fills, refuses inserts and is emptied
+/// the same way.
 TEST(MuComponentTest, MemoStaysWithinItsBoundAndIsBilled) {
   constexpr int kConstants = 48;
   std::vector<std::string> names;
@@ -440,6 +443,7 @@ TEST(MuComponentTest, MemoStaysWithinItsBoundAndIsBilled) {
   MuOptions sat;
   sat.strategy = MuStrategy::kSat;
   std::bernoulli_distribution draw(0.3);
+  exec::WorldScratch scratch;
   std::shared_ptr<const exec::FrozenCnf> cnf;
   size_t fixed_bytes = 0;
   bool cleared = false;
@@ -468,9 +472,18 @@ TEST(MuComponentTest, MemoStaysWithinItsBoundAndIsBilled) {
     exec.split = &*split;
     exec.ground_cache = &ground_cache;
     exec.cnf_cache = &cnf_cache;
+    exec.scratch = &scratch;
     StatusOr<Knowledgebase> got = internal::MuExec(sentence, db, sat, nullptr, exec);
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_EQ(got->size(), 1u);
+    if (call % 10 == 0) {
+      // The view answers as the shared memo and the search do.
+      exec.scratch = nullptr;
+      StatusOr<Knowledgebase> shared =
+          internal::MuExec(sentence, db, sat, nullptr, exec);
+      ASSERT_TRUE(shared.ok()) << shared.status();
+      EXPECT_EQ(*shared, *got) << "call " << call;
+    }
 
     if (cnf == nullptr) {
       cnf = *cnf_cache.GetOrBuild(core, MakeUpdateContext(core, db)->domain,

@@ -9,20 +9,30 @@
 ///     consistent with exactly one published state, never a torn mix;
 ///   * readers made progress while the writer was parked mid-"transformation"
 ///     holding the write lock — the MVCC non-blocking claim, observed rather
-///     than asserted from the design.
+///     than asserted from the design;
+///   * sessions reading one bank entry through their private memo views get
+///     the plain evaluation's answers while the entry is replaced, its memos
+///     are cleared and a commit lands (ServeStressSharedReadsTest).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/hypothetical.h"
+#include "exec/pool.h"
+#include "exec/scratch.h"
 #include "logic/parser.h"
+#include "sat/solver.h"
+#include "serve/cache_bank.h"
 #include "serve/server.h"
 #include "store/file.h"
 #include "testutil.h"
@@ -228,6 +238,188 @@ TEST(ServeStressTest, DurableWriterWithCheckpointRotation) {
   EXPECT_EQ(server.CurrentSnapshot()->kb, server.store()->kb());
   EXPECT_GE(server.store()->lsn(), 10u);
 }
+
+// ---------------------------------------------------------------------------
+// Shared reads: several sessions on one bank entry, each serving its memo hits
+// from its own scratch's view of the entry (exec/model_memo.h). Written for
+// TSan as much as for the answers.
+
+/// The first 16 worlds of testutil's delta kb (64 worlds, each two R cells
+/// off one base).
+Knowledgebase SharedReadKb() {
+  std::mt19937_64 rng(20261019);
+  Knowledgebase delta = testutil::DeltaKb(&rng);
+  std::vector<Database> worlds;
+  for (size_t i = 0; i < 16; ++i) worlds.push_back(delta.World(i));
+  return *Knowledgebase::FromDatabases(std::move(worlds));
+}
+
+/// A second SAT core (a disjunction is neither a Datalog head nor a
+/// definition) with orient's components, atoms and memo keys but other
+/// minimal models: a view that answered for the wrong entry would hand one
+/// core's models to the other.
+constexpr const char* kEitherWay =
+    "(forall x, y: (R(x, y) & !R(y, x)) -> (S(x, y) | S(y, x)))";
+
+/// Core-plus-two-literals reads with a literal consequent, alternating the
+/// cores (`cores` of them) and the modalities.
+std::vector<ReadRequest> SharedReadPool(size_t n, int cores) {
+  std::mt19937_64 rng(7);
+  const char* core_texts[2] = {testutil::kOrient, kEitherWay};
+  std::vector<ReadRequest> pool;
+  for (size_t i = 0; i < n; ++i) {
+    ReadRequest r;
+    r.antecedents = {std::string(core_texts[i % static_cast<size_t>(cores)]) +
+                     " & " + testutil::DeltaLiteral(&rng) + " & " +
+                     testutil::DeltaLiteral(&rng)};
+    r.consequent = testutil::DeltaLiteral(&rng);
+    r.modality = i / 2 % 2 == 0 ? Modality::kNecessarily : Modality::kPossibly;
+    pool.push_back(std::move(r));
+  }
+  return pool;
+}
+
+/// The plain evaluation of `request` over `kb`: no bank, no executor state.
+bool PlainAnswer(const Knowledgebase& kb, const ReadRequest& request) {
+  std::vector<Formula> antecedents;
+  for (const std::string& text : request.antecedents) {
+    antecedents.push_back(*ParseSentence(text));
+  }
+  StatusOr<bool> holds = NestedCounterfactual(
+      kb, antecedents, *ParseSentence(request.consequent), request.modality);
+  EXPECT_TRUE(holds.ok()) << holds.status().message();
+  return holds.ok() && *holds;
+}
+
+/// Parameter: the server's read_threads (1: each session's pinned scratch
+/// keeps its view across reads; 4: views live for one read's τ call).
+class ServeStressSharedReadsTest : public ::testing::TestWithParam<size_t> {};
+
+/// Three sessions alternate two cores on a one-entry bank, so each read
+/// replaces the entry the session's view is pinned to, and a commit lands
+/// while they read. Every answer equals the plain evaluation on the snapshot
+/// it reports.
+TEST_P(ServeStressSharedReadsTest, ReplacedEntriesAndACommitMidRun) {
+  constexpr int kSessions = 3;
+  constexpr int kReads = 16;
+  ServerOptions options;
+  options.cache_bank_capacity = 1;
+  options.read_threads = GetParam();
+  Server server(SharedReadKb(), options);
+  const std::vector<ReadRequest> pool = SharedReadPool(24, 2);
+  std::map<uint64_t, std::shared_ptr<const Snapshot>> snapshots;
+  snapshots[0] = server.CurrentSnapshot();
+
+  std::atomic<int> reads_done{0};
+  std::atomic<bool> applied{false};
+  std::vector<std::vector<RecordedRead>> recorded(kSessions);
+  auto reader = [&](int t) {
+    std::unique_ptr<Session> session = server.StartSession();
+    for (int i = 0; i < kReads; ++i) {
+      // Half of each session's reads come after the commit.
+      while (i == kReads / 2 && !applied.load()) std::this_thread::yield();
+      size_t which = static_cast<size_t>(t * 5 + i) % pool.size();
+      auto result = session->Query(pool[which]);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      recorded[t].push_back({result->snapshot_version, which, result->holds});
+      reads_done.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSessions; ++t) threads.emplace_back(reader, t);
+  while (reads_done.load() < kSessions) std::this_thread::yield();
+  auto version = server.Apply("tau{P(n1) & !P(n2)}");
+  ASSERT_TRUE(version.ok()) << version.status().message();
+  snapshots[*version] = server.CurrentSnapshot();
+  applied.store(true);
+  for (std::thread& th : threads) th.join();
+
+  std::map<std::pair<uint64_t, size_t>, bool> expected;
+  size_t after_commit = 0;
+  for (const std::vector<RecordedRead>& per_session : recorded) {
+    ASSERT_EQ(per_session.size(), static_cast<size_t>(kReads));
+    for (const RecordedRead& r : per_session) {
+      ASSERT_EQ(snapshots.count(r.version), 1u);
+      after_commit += r.version != 0;
+      auto key = std::make_pair(r.version, r.request);
+      if (expected.count(key) == 0) {
+        expected[key] = PlainAnswer(snapshots[r.version]->kb, pool[r.request]);
+      }
+      EXPECT_EQ(r.holds, expected[key])
+          << "version " << r.version << " request " << r.request;
+    }
+  }
+  EXPECT_GE(after_commit, static_cast<size_t>(kSessions * kReads / 2));
+  // Each session alternates cores, so the one-entry bank switches entries at
+  // least once between any two of one session's reads.
+  EXPECT_GE(server.stats().bank_misses, static_cast<uint64_t>(kReads - 1));
+}
+
+/// Three sessions on one bank entry while another thread keeps clearing the
+/// entry's shared memos: views keep serving what they hold, misses refill
+/// the shared memo, and every answer equals the plain evaluation. The read
+/// path is the server's (Server::ExecuteRead): the bank entry's caches, a
+/// pinned solver and scratch per session, the read pool at 4 threads.
+TEST_P(ServeStressSharedReadsTest, MemoClearsMidRun) {
+  constexpr int kSessions = 3;
+  constexpr int kReads = 16;
+  const Knowledgebase kb = SharedReadKb();
+  const std::vector<ReadRequest> pool = SharedReadPool(24, 1);
+  std::vector<bool> expected;
+  for (const ReadRequest& r : pool) expected.push_back(PlainAnswer(kb, r));
+
+  QueryCacheBank bank;
+  std::unique_ptr<exec::ThreadPool> read_pool;
+  if (GetParam() > 1) read_pool = std::make_unique<exec::ThreadPool>(GetParam());
+  std::atomic<bool> done{false};
+  std::atomic<int> clears{0};
+  std::thread clearer([&] {
+    while (!done.load()) {
+      auto entry = bank.Get(pool[0].antecedents[0]);
+      ASSERT_TRUE(entry.ok()) << entry.status().message();
+      entry->caches->cnf.ClearMemos();
+      clears.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  auto reader = [&](int t) {
+    sat::Solver solver;
+    exec::WorldScratch scratch;
+    for (int i = 0; i < kReads; ++i) {
+      // Half of each session's reads come after a clear.
+      while (i == kReads / 2 && clears.load() < 2) std::this_thread::yield();
+      size_t which = static_cast<size_t>(t * 5 + i) % pool.size();
+      const ReadRequest& request = pool[which];
+      auto entry = bank.Get(request.antecedents[0]);
+      ASSERT_TRUE(entry.ok()) << entry.status().message();
+      ChainStep step;
+      step.antecedent = &entry->sentence;
+      step.ground_cache = &entry->caches->ground;
+      step.cnf_cache = &entry->caches->cnf;
+      step.split = entry->split ? &*entry->split : nullptr;
+      TauOptions options;
+      options.threads = GetParam();
+      options.pool = read_pool.get();
+      options.solver = &solver;
+      options.scratch = &scratch;
+      auto holds = NestedCounterfactualExec(
+          kb, {step}, *ParseSentence(request.consequent), request.modality,
+          options);
+      ASSERT_TRUE(holds.ok()) << holds.status().message();
+      EXPECT_EQ(*holds, expected[which]) << "request " << which;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSessions; ++t) threads.emplace_back(reader, t);
+  for (std::thread& th : threads) th.join();
+  done.store(true);
+  clearer.join();
+  EXPECT_GE(clears.load(), 2);
+  EXPECT_EQ(bank.entries(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ServeStressSharedReadsTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 }  // namespace
 }  // namespace kbt::serve

@@ -15,6 +15,8 @@
 #include "exec/cnf_cache.h"
 #include "exec/ground_cache.h"
 #include "exec/pool.h"
+#include "exec/scratch.h"
+#include "sat/solver.h"
 #include "testutil.h"
 
 namespace kbt {
@@ -173,6 +175,119 @@ TEST(TauParallelTest, SharedDomainWorldsHitTheCache) {
   StatusOr<Knowledgebase> one_expected = UnionOfPlainMu(phi, one, options.mu);
   ASSERT_TRUE(one_expected.ok());
   EXPECT_EQ(*one_expected, *one_result);
+}
+
+/// A worker reuses its τ call's CNF entry for later worlds with the same
+/// domain, and serves memo hits from its scratch's private view. Neither may
+/// show in the counters: cache hits/misses and every μ counter equal those of
+/// a recompute that looks the entry up afresh for every world (one singleton
+/// τ call per world, each with a new scratch, through one shared cache pair).
+/// Checked on one domain and on two domains interleaved, where consecutive
+/// worlds switch entries.
+TEST(TauParallelTest, EntryReuseCountsLikeALookupPerWorld) {
+  std::mt19937_64 rng(20261019);
+  Knowledgebase delta = testutil::DeltaKb(&rng);
+  std::vector<Database> same;
+  std::vector<Database> mixed;
+  for (size_t i = 0; i < 24; ++i) {
+    Database db = delta.World(i);
+    same.push_back(db);
+    if (i % 2 == 1) {
+      // A new constant in P gives every odd world a second active domain.
+      Relation p = db.FindRelation(Name("P"))->Union(Relation(1, {{Name("e9")}}));
+      db = *db.WithRelation("P", std::move(p));
+    }
+    mixed.push_back(std::move(db));
+  }
+  Formula phi =
+      *ParseSentence(std::string(testutil::kOrient) + " & !S(n0, n1)");
+  for (bool two_domains : {false, true}) {
+    Knowledgebase kb =
+        *Knowledgebase::FromDatabases(two_domains ? mixed : same);
+    size_t switches = 0;
+    for (size_t i = 1; i < kb.size(); ++i) {
+      switches += kb.World(i).ActiveDomain() != kb.World(i - 1).ActiveDomain();
+    }
+    EXPECT_EQ(switches > 4, two_domains);
+
+    exec::GroundingCache ref_ground;
+    exec::CnfCache ref_cnf;
+    TauOptions ref_options;
+    ref_options.mu.strategy = MuStrategy::kSat;
+    ref_options.ground_cache = &ref_ground;
+    ref_options.cnf_cache = &ref_cnf;
+    TauStats expected;
+    for (size_t i = 0; i < kb.size(); ++i) {
+      TauStats one;
+      Knowledgebase world = *Knowledgebase::FromDatabases({kb.World(i)});
+      ASSERT_TRUE(Tau(phi, world, ref_options, &one).ok());
+      expected.cnf_cache_hits += one.cnf_cache_hits;
+      expected.cnf_cache_misses += one.cnf_cache_misses;
+      expected.ground_cache_hits += one.ground_cache_hits;
+      expected.ground_cache_misses += one.ground_cache_misses;
+      expected.mu.MergeFrom(one.mu);
+    }
+    ASSERT_EQ(expected.cnf_cache_misses, two_domains ? 2u : 1u);
+    ASSERT_GT(expected.mu.sat_solve_calls, 0u);
+
+    // Sequentially, with a session's solver and scratch, so the view and the
+    // entry slot are in play.
+    sat::Solver solver;
+    exec::WorldScratch scratch;
+    exec::GroundingCache ground;
+    exec::CnfCache cnf;
+    TauOptions options = ref_options;
+    options.ground_cache = &ground;
+    options.cnf_cache = &cnf;
+    options.solver = &solver;
+    options.scratch = &scratch;
+    TauStats got;
+    StatusOr<Knowledgebase> result = Tau(phi, kb, options, &got);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(got.cnf_cache_hits, expected.cnf_cache_hits);
+    EXPECT_EQ(got.cnf_cache_misses, expected.cnf_cache_misses);
+    EXPECT_EQ(got.ground_cache_hits, expected.ground_cache_hits);
+    EXPECT_EQ(got.ground_cache_misses, expected.ground_cache_misses);
+    const MuStats& a = got.mu;
+    const MuStats& b = expected.mu;
+    EXPECT_EQ(a.used, b.used);
+    EXPECT_EQ(a.minimal_models, b.minimal_models);
+    EXPECT_EQ(a.candidates_examined, b.candidates_examined);
+    EXPECT_EQ(a.ground_nodes, b.ground_nodes);
+    EXPECT_EQ(a.ground_atoms, b.ground_atoms);
+    EXPECT_EQ(a.sat_solve_calls, b.sat_solve_calls);
+    EXPECT_EQ(a.sat_conflicts, b.sat_conflicts);
+    EXPECT_EQ(a.sat_decisions, b.sat_decisions);
+    EXPECT_EQ(a.sat_reused_levels, b.sat_reused_levels);
+    EXPECT_EQ(a.sat_saved_propagations, b.sat_saved_propagations);
+    EXPECT_EQ(a.sat_interrupt_checks, b.sat_interrupt_checks);
+    EXPECT_EQ(a.sat_budget_trips, b.sat_budget_trips);
+    EXPECT_EQ(a.datalog_rounds, b.datalog_rounds);
+    EXPECT_EQ(a.datalog_derived_tuples, b.datalog_derived_tuples);
+
+    // A second call through the same caches and scratch reuses the view:
+    // every component is a memo hit, and the lookups count as before.
+    TauStats again;
+    ASSERT_TRUE(Tau(phi, kb, options, &again).ok());
+    EXPECT_EQ(again.cnf_cache_hits, kb.size());
+    EXPECT_EQ(again.cnf_cache_misses, 0u);
+    EXPECT_EQ(again.mu.sat_solve_calls, 0u);
+
+    // On four workers the totals are the same: each worker looks up once
+    // per run of one domain and counts the rest as hits.
+    TauOptions par = ref_options;
+    exec::GroundingCache par_ground;
+    exec::CnfCache par_cnf;
+    par.ground_cache = &par_ground;
+    par.cnf_cache = &par_cnf;
+    par.threads = 4;
+    TauStats par_stats;
+    StatusOr<Knowledgebase> par_result = Tau(phi, kb, par, &par_stats);
+    ASSERT_TRUE(par_result.ok()) << par_result.status();
+    EXPECT_EQ(*par_result, *result);
+    EXPECT_EQ(par_stats.cnf_cache_hits + par_stats.cnf_cache_misses, kb.size());
+    EXPECT_EQ(par_stats.cnf_cache_misses, expected.cnf_cache_misses);
+  }
 }
 
 TEST(TauParallelTest, WorldScratchPoolReusedAcrossManyWorldsAndThreads) {
